@@ -17,27 +17,15 @@ worker count, or completion order.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.core.exceptions import ValidationError
 from repro.core.rng import spawn_rngs
-from repro.importance.base import (
-    Utility,
-    emit_importance_run,
-    hex_floats,
-    open_checkpoint_session,
-    partial_every,
-    require_checkpoint_seed,
-    resolve_partial,
-    unhex_floats,
-)
-from repro.observe.observer import resolve_observer
-from repro.runtime.cache import fingerprint
+from repro.importance.base import Utility
+from repro.importance.sampling import Coalitions, FoldRule, SamplingEstimator
 
 
-class DataBanzhaf:
+class DataBanzhaf(SamplingEstimator):
     """MSR estimator for Data Banzhaf values.
 
     Parameters
@@ -48,7 +36,7 @@ class DataBanzhaf:
         Root RNG seed, split per sampled coalition.
     observer:
         Optional :class:`repro.observe.Observer`: spans :meth:`score`,
-        counts coalitions sampled and utility evaluations, and logs a
+        counts coalitions folded and utility evaluations, and logs a
         replayable ``importance.run`` event.
     checkpoint / checkpoint_every / resume_from:
         Durable checkpointing of completed coalition evaluations (see
@@ -71,145 +59,63 @@ class DataBanzhaf:
         checkpointing applies to ``utility.calls``.
     """
 
+    method = "banzhaf"
+    kind = "importance.banzhaf"
+
     def __init__(self, n_samples: int = 200, seed=None, observer=None,
                  checkpoint=None, checkpoint_every: int = 25,
                  resume_from=None, partial=None):
         if n_samples < 2:
             raise ValidationError("n_samples must be >= 2")
         self.n_samples = n_samples
-        self.seed = seed
-        self.observer = resolve_observer(observer)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = checkpoint_every
-        self.resume_from = resume_from
-        self.partial = resolve_partial(partial)
-        if checkpoint is not None or resume_from is not None:
-            require_checkpoint_seed(seed, "banzhaf")
+        super().__init__(seed=seed, observer=observer, checkpoint=checkpoint,
+                         checkpoint_every=checkpoint_every,
+                         resume_from=resume_from, partial=partial)
 
     def score(self, utility: Utility) -> np.ndarray:
         """Estimate Banzhaf values for every player of ``utility``."""
-        obs = self.observer
-        if not obs.enabled:
-            return self._score(utility)
-        calls_before = utility.calls
-        cache = utility.runtime.cache if utility.runtime is not None else None
-        with obs.span("banzhaf", cache=cache, players=utility.n_players):
-            values = self._score(utility)
-        obs.count("importance.coalitions", self.n_samples)
-        emit_importance_run(
-            obs, method="banzhaf", params={"n_samples": self.n_samples},
-            seed=self.seed, utility=utility, calls_before=calls_before,
-            values=values)
-        return values
+        return super().score(utility)
 
-    def _identity(self, utility: Utility) -> str:
-        return fingerprint("checkpoint.banzhaf", self.n_samples,
-                           int(self.seed), utility.base_fingerprint())
+    def _params(self) -> dict:
+        return {"n_samples": self.n_samples}
 
-    def _score(self, utility: Utility) -> np.ndarray:
-        n = utility.n_players
-        partial = self.partial
-        memberships = [rng.uniform(size=n) < 0.5
-                       for rng in spawn_rngs(self.seed, self.n_samples)]
-        state = _MSRState(n, track_sq=partial is not None)
-        session = open_checkpoint_session(
-            utility, checkpoint=self.checkpoint,
-            resume_from=self.resume_from, every=self.checkpoint_every,
-            kind="importance.banzhaf",
-            identity=self._identity(utility)
-            if (self.checkpoint is not None or self.resume_from is not None)
-            else "", observer=self.observer)
+    def _sampler(self, utility: Utility) -> Coalitions:
+        # Each other player joins independently with probability 1/2.
+        return Coalitions([
+            np.flatnonzero(rng.uniform(size=utility.n_players) < 0.5)
+            for rng in spawn_rngs(self.seed, self.n_samples)])
 
-        def fold(values, upto: int) -> bool:
-            """Fold coalition values [state.folded, upto) into the MSR
-            accumulators — in sample order, so the float sums are
-            bit-identical to a single-pass reduction — then publish the
-            running estimate; ``True`` when the hook requests a stop."""
-            for k in range(state.folded, upto):
-                state.add(memberships[k], float(values[k]))
-            if partial is None or state.folded == 0:
-                return False  # nothing folded yet: nothing to publish
-            return bool(partial.publish(
-                method="banzhaf", completed=state.folded,
-                total=self.n_samples, values=state.estimate(),
-                stderr=state.stderr()))
-
-        try:
-            self._evaluate(utility, memberships, session, fold)
-        finally:
-            if session is not None:
-                session.close()
-        return state.estimate()
-
-    def _evaluate(self, utility, memberships, session, fold) -> None:
-        """Evaluate coalitions in sample order and fold them in: one
-        batch normally, cadence slices (restored prefix skipped) when
-        checkpointing or publishing partials."""
-        if session is None and self.partial is None:
-            values = utility.evaluate_many(
-                [np.flatnonzero(m) for m in memberships], stage="banzhaf")
-            fold(values, self.n_samples)
-            return
-        every = session.every if session is not None \
-            else partial_every(self.partial)
-        if self.partial is not None:
-            every = min(every, partial_every(self.partial))
-        values = np.empty(self.n_samples)
-        done = 0
-        if session is not None:
-            payload = session.resume()
-            if payload is not None:
-                restored = unhex_floats(payload["values"])
-                values[:len(restored)] = restored
-                done = len(restored)
-                session.record_skipped(completed=done, total=self.n_samples,
-                                       method="banzhaf")
-        guard = session.session(
-            lambda: done, lambda: {"values": hex_floats(values[:done])},
-        ) if session is not None else contextlib.nullcontext()
-        with guard:
-            if fold(values, done):  # replayed prefix may already satisfy
-                if session is not None:  # the stop predicate
-                    session.flush()
-                return
-            while done < self.n_samples:
-                end = min(done + every, self.n_samples)
-                chunk = [np.flatnonzero(m) for m in memberships[done:end]]
-                values[done:end] = utility.evaluate_many(chunk,
-                                                         stage="banzhaf")
-                done = end
-                if fold(values, done):
-                    if session is not None:
-                        session.flush()
-                    return
-                if session is not None:
-                    session.maybe_flush(done)
+    def _fold_rule(self, utility: Utility, sampler) -> "MSRFold":
+        return MSRFold(utility.n_players)
 
 
-class _MSRState:
-    """Running Maximum-Sample-Reuse accumulators: per-player in/out sums
-    and counts (plus squared sums when a partial hook needs CLT standard
-    errors), folded one sampled coalition at a time in sample order."""
+class MSRFold(FoldRule):
+    """Maximum-Sample-Reuse fold rule: per-player in/out sums, squared
+    sums (for the CLT standard errors) and counts, folded one sampled
+    coalition at a time in sample order."""
 
-    def __init__(self, n: int, *, track_sq: bool = False):
+    def __init__(self, n: int):
         self.n = n
-        self.folded = 0
         self.sum_in = np.zeros(n)
         self.count_in = np.zeros(n)
         self.sum_out = np.zeros(n)
         self.count_out = np.zeros(n)
-        self.sq_in = np.zeros(n) if track_sq else None
-        self.sq_out = np.zeros(n) if track_sq else None
+        self.sq_in = np.zeros(n)
+        self.sq_out = np.zeros(n)
 
-    def add(self, membership: np.ndarray, value: float) -> None:
-        self.sum_in[membership] += value
-        self.count_in[membership] += 1
-        self.sum_out[~membership] += value
-        self.count_out[~membership] += 1
-        if self.sq_in is not None:
+    def fold(self, coalitions, values) -> bool:
+        for coalition, value in zip(coalitions, values):
+            membership = np.zeros(self.n, dtype=bool)
+            membership[coalition] = True
+            value = float(value)
+            self.sum_in[membership] += value
+            self.count_in[membership] += 1
+            self.sum_out[~membership] += value
+            self.count_out[~membership] += 1
             self.sq_in[membership] += value * value
             self.sq_out[~membership] += value * value
-        self.folded += 1
+            self.folded += 1
+        return False
 
     def estimate(self) -> np.ndarray:
         # Players never sampled on one side get a 0 mean on that side; with
@@ -222,26 +128,20 @@ class _MSRState:
                              where=self.count_out > 0)
         return mean_in - mean_out
 
-    def _side_var(self, sums, sqs, counts) -> np.ndarray:
-        """Unbiased per-player sample variance of one side's values;
-        ``inf`` below two samples, where spread is unknowable."""
+    def _mean_var(self, sums, sqs, counts) -> np.ndarray:
+        """Variance of one side's per-player sample mean (unbiased
+        sample variance over the count); ``inf`` below two samples,
+        where spread is unknowable."""
         out = np.full(self.n, np.inf)
         ok = counts > 1
         mean = np.divide(sums, counts, out=np.zeros(self.n), where=ok)
         var = np.maximum(sqs - counts * mean * mean, 0.0)
         np.divide(var, counts - 1, out=out, where=ok)
-        return out
+        return np.divide(out, counts, out=out, where=ok)
 
     def stderr(self) -> np.ndarray:
         """CLT standard error of the mean-difference estimate: the in and
         out sides are independent sample means, so their variances add."""
-        var_in = self._side_var(self.sum_in, self.sq_in, self.count_in)
-        var_out = self._side_var(self.sum_out, self.sq_out, self.count_out)
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(
-                np.divide(var_in, self.count_in,
-                          out=np.full(self.n, np.inf),
-                          where=self.count_in > 0)
-                + np.divide(var_out, self.count_out,
-                            out=np.full(self.n, np.inf),
-                            where=self.count_out > 0))
+        return np.sqrt(
+            self._mean_var(self.sum_in, self.sq_in, self.count_in)
+            + self._mean_var(self.sum_out, self.sq_out, self.count_out))

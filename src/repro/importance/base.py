@@ -35,7 +35,6 @@ from repro.importance.kernels import CoalitionKernel, resolve_kernel
 from repro.ml.base import clone
 from repro.ml.metrics import accuracy_score
 from repro.runtime.cache import fingerprint
-from repro.runtime.checkpoint import LoopCheckpointer
 from repro.runtime.runtime import Runtime, resolve_runtime
 
 
@@ -532,10 +531,10 @@ def resolve_partial(partial):
     ``None`` disables partial publishing. Anything else must expose a
     callable ``publish(method=, completed=, total=, values=, stderr=)``
     returning truthy to stop the loop early, plus an optional integer
-    ``every`` attribute (publish/batch cadence in completed work units,
-    default 1). Estimators may pass additional keyword fields (e.g.
-    ``exact=True`` from the closed-form Shapley dispatch), so duck-typed
-    hooks should accept ``**fields``.
+    ``every`` attribute bounding the units folded between two publishes
+    (the loop publishes once per batch; default 1). Estimators may pass
+    additional keyword fields (e.g. ``exact=True`` from the closed-form
+    Shapley dispatch), so duck-typed hooks should accept ``**fields``.
     :class:`repro.serve.AnytimeEstimate` implements this protocol.
     """
     if partial is None:
@@ -546,11 +545,6 @@ def resolve_partial(partial):
             f"(see repro.serve.AnytimeEstimate) — got "
             f"{type(partial).__name__}")
     return partial
-
-
-def partial_every(partial) -> int:
-    """Publish cadence of a ``partial=`` hook (``every`` attr, >= 1)."""
-    return max(1, int(getattr(partial, "every", 1) or 1))
 
 
 # --- checkpoint/resume plumbing shared by the estimator loops ---------------
@@ -577,137 +571,3 @@ def require_checkpoint_seed(seed, method: str) -> int:
         f"{method}: checkpoint=/resume_from= require an integer seed so "
         "the resumed run regenerates the identical sample streams — got "
         f"{type(seed).__name__}")
-
-
-class _CheckpointSession:
-    """One estimator run's checkpoint state: cadence, utility-counter
-    deltas, and the fingerprint-cache put journal.
-
-    Wraps a :class:`~repro.runtime.LoopCheckpointer` with the
-    accounting every utility-driven loop needs for hex-identical
-    resumption: the snapshot carries (cumulatively, since the *original*
-    run's start) the trainings performed, the kernel path counters, and
-    every ``(key, value)`` the run put into the runtime's
-    :class:`~repro.runtime.FingerprintCache` — so a resumed run restores
-    the skipped work's side effects (``Utility.calls``, cache keys and
-    bitwise values) exactly, not just its scores.
-    """
-
-    def __init__(self, utility: "Utility", *, checkpoint, resume_from,
-                 every: int, kind: str, identity: str, observer):
-        self.ckpt = LoopCheckpointer(checkpoint, kind=kind,
-                                     identity=identity, every=every,
-                                     observer=observer,
-                                     resume_from=resume_from)
-        self.utility = utility
-        self.cache = utility.runtime.cache if utility.runtime is not None \
-            else None
-        self._calls_base = utility.calls
-        self._kernel_base = utility.kernel_steps
-        self._fallback_base = utility.fallback_retrains
-        # Journal from the very start so snapshots carry the cumulative
-        # cache writes; resume() re-puts the restored entries *through*
-        # the journal, keeping the cumulative invariant across kills.
-        self._journal = self.cache.start_journal() \
-            if self.cache is not None else None
-
-    @property
-    def every(self) -> int:
-        return self.ckpt.every
-
-    def resume(self) -> dict | None:
-        """Load the snapshot and replay its side effects (counters,
-        cache entries); returns the payload for the loop to replay its
-        scores out of, or ``None`` to start fresh."""
-        payload = self.ckpt.resume()
-        if payload is None:
-            return None
-        self.utility.restore_accounting(
-            calls=payload.get("calls", 0),
-            kernel_steps=payload.get("kernel_steps", 0),
-            fallback_retrains=payload.get("fallback_retrains", 0))
-        if self.cache is not None:
-            for key, hexval in payload.get("cache_entries", []):
-                self.cache.put(key, float.fromhex(hexval))
-        return payload
-
-    def record_skipped(self, *, completed: int, total: int,
-                       **extra) -> None:
-        self.ckpt.record_skipped(completed=completed, total=total,
-                                 skipped_units=completed, **extra)
-
-    def base_state(self, completed: int) -> dict:
-        utility = self.utility
-        return {
-            "completed": int(completed),
-            "calls": utility.calls - self._calls_base,
-            "kernel_steps": utility.kernel_steps - self._kernel_base,
-            "fallback_retrains":
-                utility.fallback_retrains - self._fallback_base,
-            "cache_entries": [[key, float(value).hex()]
-                              for key, value in self._journal]
-            if self._journal is not None else [],
-        }
-
-    def session(self, completed_fn, extra_fn):
-        """Arm the snapshot provider; returns the signal-flush guard to
-        wrap the loop body in (``with session.session(...):``)."""
-        def state() -> dict:
-            payload = self.base_state(completed_fn())
-            payload.update(extra_fn())
-            return payload
-        return self.ckpt.armed(state)
-
-    def maybe_flush(self, completed: int) -> None:
-        self.ckpt.maybe_flush(completed)
-
-    def flush(self) -> None:
-        """Snapshot now, ignoring the cadence — the early-stop path, so
-        an anytime-stopped job's final state is durable and resumable."""
-        self.ckpt.flush()
-
-    def close(self) -> None:
-        if self._journal is not None and self.cache is not None:
-            self.cache.stop_journal(self._journal)
-
-
-def open_checkpoint_session(utility: "Utility", *, checkpoint, resume_from,
-                            every: int, kind: str, identity: str,
-                            observer) -> _CheckpointSession | None:
-    """Build the estimator-side checkpoint session, or ``None`` when
-    neither ``checkpoint=`` nor ``resume_from=`` was given (the loop
-    then runs exactly its pre-checkpoint code path). Falls back to the
-    runtime's observer when the estimator has none, so checkpoint
-    accounting lands wherever the run is being observed."""
-    if checkpoint is None and resume_from is None:
-        return None
-    if not observer.enabled and utility.runtime is not None:
-        observer = utility.runtime.observer
-    return _CheckpointSession(utility, checkpoint=checkpoint,
-                              resume_from=resume_from, every=every,
-                              kind=kind, identity=identity,
-                              observer=observer)
-
-
-def emit_importance_run(observer, *, method: str, params: dict, seed,
-                        utility: "Utility", calls_before: int,
-                        values: np.ndarray, **extra) -> None:
-    """Log the standard replayable ``importance.run`` provenance event.
-
-    Shared by every estimator wired to :mod:`repro.observe`: the event
-    carries the (method, params, seed, data fingerprint) tuple that — by
-    the backend-invariance guarantee — fully determines ``values``, plus
-    the training count and a score summary for cheap run diffing.
-    """
-    observer.count("utility.evaluations", utility.calls - calls_before)
-    observer.event(
-        "importance.run", method=method, params=params, seed=seed,
-        n_players=utility.n_players,
-        data_fingerprint=utility.base_fingerprint(),
-        utility_calls=utility.calls - calls_before,
-        kernel=utility.kernel_name,
-        kernel_incremental_steps=utility.kernel_steps,
-        kernel_fallback_retrains=utility.fallback_retrains,
-        score_mean=float(np.mean(values)),
-        score_min=float(np.min(values)), score_max=float(np.max(values)),
-        **extra)

@@ -8,21 +8,10 @@ training per training point.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
-from repro.importance.base import (
-    Utility,
-    emit_importance_run,
-    hex_floats,
-    open_checkpoint_session,
-    partial_every,
-    resolve_partial,
-    unhex_floats,
-)
-from repro.observe.observer import resolve_observer
-from repro.runtime.cache import fingerprint
+from repro.importance.base import Utility
+from repro.importance.sampling import Coalitions, FoldRule, SamplingEstimator
 
 
 def leave_one_out(utility: Utility, *, observer=None, checkpoint=None,
@@ -49,99 +38,50 @@ def leave_one_out(utility: Utility, *, observer=None, checkpoint=None,
     tail left as ``NaN`` (snapshotted first when ``checkpoint=`` is
     active, so the job resumes to the exact full-sweep result).
     """
-    obs = resolve_observer(observer)
-    if not obs.enabled:
-        return _leave_one_out(utility, observer=obs, checkpoint=checkpoint,
-                              checkpoint_every=checkpoint_every,
-                              resume_from=resume_from, partial=partial)
-    calls_before = utility.calls
-    cache = utility.runtime.cache if utility.runtime is not None else None
-    with obs.span("leave_one_out", cache=cache, players=utility.n_players):
-        values = _leave_one_out(utility, observer=obs, checkpoint=checkpoint,
-                                checkpoint_every=checkpoint_every,
-                                resume_from=resume_from, partial=partial)
-    emit_importance_run(
-        obs, method="leave_one_out", params={}, seed=None, utility=utility,
-        calls_before=calls_before, values=values)
-    return values
+    return _LeaveOneOut(seed=None, observer=observer, checkpoint=checkpoint,
+                        checkpoint_every=checkpoint_every,
+                        resume_from=resume_from,
+                        partial=partial).score(utility)
 
 
-def _leave_one_out(utility: Utility, *, observer=None, checkpoint=None,
-                   checkpoint_every: int = 25, resume_from=None,
-                   partial=None) -> np.ndarray:
-    n = utility.n_players
-    partial = resolve_partial(partial)
-    everyone = np.arange(n)
-    drop_one = [np.delete(everyone, i) for i in range(n)]
-    session = open_checkpoint_session(
-        utility, checkpoint=checkpoint, resume_from=resume_from,
-        every=checkpoint_every, kind="importance.loo",
-        identity=fingerprint("checkpoint.loo", utility.base_fingerprint())
-        if (checkpoint is not None or resume_from is not None) else "",
-        observer=observer)
-    if session is None and partial is None:
-        full = utility.full_value()
-        return full - utility.evaluate_many(drop_one, stage="leave_one_out")
+class _LeaveOneOut(SamplingEstimator):
+    """The LOO sweep as the degenerate semivalue: one drop-one coalition
+    per player, folded exactly (no sampling, so no seed)."""
 
-    def publish(full, values, done) -> bool:
-        """LOO is exact per player: computed entries have stderr 0, the
-        pending tail is NaN with stderr inf."""
-        if partial is None or done == 0:
-            return False  # nothing computed yet: nothing to publish
-        estimate = np.full(n, np.nan)
-        estimate[:done] = full - values[:done]
-        stderr = np.full(n, np.inf)
-        stderr[:done] = 0.0
-        return bool(partial.publish(
-            method="leave_one_out", completed=done, total=n,
-            values=estimate, stderr=stderr))
+    method = "leave_one_out"
+    kind = "importance.loo"
+    seeded = False
 
-    try:
-        full = None
-        values = np.empty(n)
-        done = 0
-        if session is not None:
-            payload = session.resume()
-            if payload is not None:
-                full = float.fromhex(payload["full_value"])
-                restored = unhex_floats(payload["values"])
-                values[:len(restored)] = restored
-                done = len(restored)
-                session.record_skipped(completed=done, total=n,
-                                       method="leave_one_out")
-        if full is None:
-            full = utility.full_value()
-        every = session.every if session is not None else n
-        if partial is not None:
-            every = max(1, min(every, partial_every(partial)))
-        guard = session.session(
-            lambda: done,
-            lambda: {"full_value": full.hex(),
-                     "values": hex_floats(values[:done])},
-        ) if session is not None else contextlib.nullcontext()
-        with guard:
-            if publish(full, values, done):  # restored prefix may already
-                if session is not None:      # satisfy the stop predicate
-                    session.flush()
-                result = np.full(n, np.nan)
-                result[:done] = full - values[:done]
-                return result
-            while done < n:
-                end = min(done + every, n)
-                values[done:end] = utility.evaluate_many(
-                    drop_one[done:end], stage="leave_one_out")
-                done = end
-                if publish(full, values, done):
-                    if session is not None:
-                        session.flush()
-                    if done < n:
-                        result = np.full(n, np.nan)
-                        result[:done] = full - values[:done]
-                        return result
-                    break
-                if session is not None:
-                    session.maybe_flush(done)
-    finally:
-        if session is not None:
-            session.close()
-    return full - values
+    def _sampler(self, utility: Utility) -> Coalitions:
+        everyone = np.arange(utility.n_players)
+        return Coalitions([np.delete(everyone, i)
+                           for i in range(utility.n_players)],
+                          keeps_full_value=True)
+
+    def _fold_rule(self, utility: Utility, sampler) -> "DropOneFold":
+        return DropOneFold(utility.n_players, sampler.full_value)
+
+
+class DropOneFold(FoldRule):
+    """LOO's fold rule: ``value(i) = u(D) - u(D \\ {i})``, exact per
+    player. Before the sweep completes, pending players are ``NaN`` with
+    standard error ``inf``; computed ones carry standard error ``0``."""
+
+    def __init__(self, n: int, full_value: float):
+        self.full_value = full_value
+        self.values = np.empty(n)
+
+    def fold(self, coalitions, values) -> bool:
+        self.values[self.folded:self.folded + len(values)] = values
+        self.folded += len(values)
+        return False
+
+    def estimate(self) -> np.ndarray:
+        estimate = np.full(len(self.values), np.nan)
+        estimate[:self.folded] = self.full_value - self.values[:self.folded]
+        return estimate
+
+    def stderr(self) -> np.ndarray:
+        stderr = np.full(len(self.values), np.inf)
+        stderr[:self.folded] = 0.0
+        return stderr

@@ -20,28 +20,22 @@ pure function of ``(seed, n_permutations)`` — identical across the
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 
 import numpy as np
 
 from repro.core.exceptions import ValidationError
-from repro.core.rng import spawn_rngs
-from repro.importance.base import (
-    Utility,
-    clt_stderr,
-    emit_importance_run,
-    hex_floats,
-    open_checkpoint_session,
-    partial_every,
-    require_checkpoint_seed,
-    resolve_partial,
-    unhex_floats,
+from repro.importance.base import Utility, clt_stderr
+from repro.importance.sampling import (
+    FoldRule,
+    PermutationWalks,
+    SamplingEstimator,
+    sample_permutations,
 )
 from repro.ml.metrics import accuracy_score
-from repro.observe.observer import resolve_observer
-from repro.runtime.cache import fingerprint
 
 
-class MonteCarloShapley:
+class MonteCarloShapley(SamplingEstimator):
     """Permutation-sampling Shapley estimator.
 
     Parameters
@@ -52,7 +46,8 @@ class MonteCarloShapley:
         Absolute utility gap below which a permutation walk is truncated
         ("performance tolerance" in the paper). ``0`` disables truncation.
     convergence_tol / convergence_window:
-        Early-stopping on estimate stability; ``None`` disables.
+        Early-stopping on estimate stability; ``None`` disables. When
+        given, ``convergence_tol`` must be > 0; the window is at least 1.
     seed:
         Root RNG seed, split per permutation.
     observer:
@@ -80,13 +75,13 @@ class MonteCarloShapley:
     partial:
         Optional anytime-results hook (see
         :func:`repro.importance.base.resolve_partial`): after every
-        permutation folded in, ``partial.publish`` receives the running
-        estimate plus per-player CLT standard errors; returning truthy
-        stops the loop early with the current estimate (snapshotting it
-        first when ``checkpoint=`` is active, so the job can later be
-        resumed to the exact full-run result). The hook's ``every``
-        attribute bounds the walk batch size so partial estimates stay
-        responsive on pooled backends.
+        batch of permutations folded in, ``partial.publish`` receives
+        the running estimate plus per-player CLT standard errors;
+        returning truthy stops the loop early with the current estimate
+        (snapshotting it first when ``checkpoint=`` is active, so the
+        job can later be resumed to the exact full-run result). The
+        hook's ``every`` attribute bounds the walk batch size so partial
+        estimates stay responsive on pooled backends.
     exact:
         Closed-form dispatch. ``False`` (default) always samples.
         ``"auto"`` short-circuits sampling entirely when the utility's
@@ -104,6 +99,9 @@ class MonteCarloShapley:
         loop to resume).
     """
 
+    method = "shapley_mc"
+    kind = "importance.shapley_mc"
+
     def __init__(self, n_permutations: int = 100, truncation_tol: float = 0.01,
                  convergence_tol: float | None = None, convergence_window: int = 10,
                  seed=None, observer=None, checkpoint=None,
@@ -113,6 +111,10 @@ class MonteCarloShapley:
             raise ValidationError("n_permutations must be >= 1")
         if truncation_tol < 0:
             raise ValidationError("truncation_tol must be >= 0")
+        if convergence_tol is not None and not convergence_tol > 0:
+            raise ValidationError("convergence_tol must be > 0 (or None)")
+        if convergence_window < 1:
+            raise ValidationError("convergence_window must be >= 1")
         if exact not in (False, True, "auto"):
             raise ValidationError(
                 f"exact must be False, True or 'auto', got {exact!r}")
@@ -120,15 +122,17 @@ class MonteCarloShapley:
         self.truncation_tol = truncation_tol
         self.convergence_tol = convergence_tol
         self.convergence_window = convergence_window
-        self.seed = seed
-        self.observer = resolve_observer(observer)
-        self.checkpoint = checkpoint
-        self.checkpoint_every = checkpoint_every
-        self.resume_from = resume_from
-        self.partial = resolve_partial(partial)
         self.exact = exact
-        if checkpoint is not None or resume_from is not None:
-            require_checkpoint_seed(seed, "shapley_mc")
+        super().__init__(seed=seed, observer=observer, checkpoint=checkpoint,
+                         checkpoint_every=checkpoint_every,
+                         resume_from=resume_from, partial=partial)
+
+    @property
+    def n_permutations_used_(self) -> int:
+        """Permutations folded into the last estimate: fewer than
+        ``n_permutations`` after a convergence or anytime stop, 0 on the
+        closed-form path."""
+        return self._folded
 
     def score(self, utility: Utility) -> np.ndarray:
         """Estimate Shapley values for every player of ``utility``.
@@ -144,29 +148,9 @@ class MonteCarloShapley:
         ``null_value / n`` so they share the sampler's efficiency
         normalization ``sum = u(D) - u(empty)``).
         """
-        if self.exact:
-            exact_values = self._exact_score(utility)
-            if exact_values is not None:
-                return exact_values
-        obs = self.observer
-        if not obs.enabled:
-            return self._score(utility)
-        calls_before = utility.calls
-        cache = utility.runtime.cache if utility.runtime is not None else None
-        with obs.span("shapley_mc", cache=cache, players=utility.n_players):
-            values = self._score(utility)
-        obs.count("importance.permutations", self.n_permutations_used_)
-        emit_importance_run(
-            obs, method="shapley_mc",
-            params={"n_permutations": self.n_permutations,
-                    "truncation_tol": self.truncation_tol,
-                    "convergence_tol": self.convergence_tol,
-                    "convergence_window": self.convergence_window},
-            seed=self.seed, utility=utility, calls_before=calls_before,
-            values=values, permutations_used=self.n_permutations_used_)
-        return values
+        return super().score(utility)
 
-    def _exact_score(self, utility: Utility) -> np.ndarray | None:
+    def _closed_form(self, utility: Utility) -> np.ndarray | None:
         """Closed-form dispatch: the kernel's analytic Shapley values,
         or ``None`` when ``exact="auto"`` finds no closed form (the
         caller then falls through to permutation sampling).
@@ -176,8 +160,9 @@ class MonteCarloShapley:
         value, so the dispatched values are shifted by ``null_value / n``
         — making them exactly what the sampler's estimate converges to.
         """
+        if not self.exact:
+            return None
         obs = self.observer
-        calls_before = utility.calls
         kernel = utility.kernel
         closed = None
         if kernel is not None and utility.metric is accuracy_score:
@@ -192,151 +177,73 @@ class MonteCarloShapley:
                     "(the k-NN kernel); this utility resolved to "
                     f"{utility.kernel_resolution}")
             return None
-        values = closed - utility.null_value() / utility.n_players
-        self.n_permutations_used_ = 0
-        if self.partial is not None:
-            self.partial.publish(
-                method="shapley_mc", completed=1, total=1, values=values,
-                stderr=np.zeros(len(values)), exact=True)
-        if obs.enabled:
-            emit_importance_run(
-                obs, method="shapley_mc",
-                params={"n_permutations": self.n_permutations,
-                        "truncation_tol": self.truncation_tol,
-                        "convergence_tol": self.convergence_tol,
-                        "convergence_window": self.convergence_window,
-                        "exact": True},
-                seed=self.seed, utility=utility, calls_before=calls_before,
-                values=values, permutations_used=0, exact=True)
-        return values
+        return closed - utility.null_value() / utility.n_players
 
-    def _identity(self, utility: Utility) -> str:
-        return fingerprint(
-            "checkpoint.shapley_mc", self.n_permutations,
-            self.truncation_tol, self.convergence_tol,
-            self.convergence_window, int(self.seed),
-            utility.base_fingerprint())
+    def _params(self) -> dict:
+        return {"n_permutations": self.n_permutations,
+                "truncation_tol": self.truncation_tol,
+                "convergence_tol": self.convergence_tol,
+                "convergence_window": self.convergence_window}
 
-    def _score(self, utility: Utility) -> np.ndarray:
-        n = utility.n_players
-        permutations = [rng.permutation(n)
-                        for rng in spawn_rngs(self.seed, self.n_permutations)]
-        session = open_checkpoint_session(
-            utility, checkpoint=self.checkpoint,
-            resume_from=self.resume_from, every=self.checkpoint_every,
-            kind="importance.shapley_mc",
-            identity=self._identity(utility)
-            if (self.checkpoint is not None or self.resume_from is not None)
-            else "", observer=self.observer)
-        try:
-            return self._score_loop(utility, permutations, session)
-        finally:
-            if session is not None:
-                session.close()
+    def _run_extra(self) -> dict:
+        return {"permutations_used": self.n_permutations_used_}
 
-    def _score_loop(self, utility, permutations, session) -> np.ndarray:
-        n = utility.n_players
-        partial = self.partial
-        full_value = None
-        completed: list[np.ndarray] = []  # marginal arrays, walk order
-        if session is not None:
-            payload = session.resume()
-            if payload is not None:
-                full_value = float.fromhex(payload["full_value"])
-                completed = [unhex_floats(m) for m in payload["marginals"]]
-                session.record_skipped(completed=len(completed),
-                                       total=self.n_permutations,
-                                       method="shapley_mc")
-        if full_value is None:
-            full_value = utility.full_value()
+    def _sampler(self, utility: Utility) -> PermutationWalks:
+        return PermutationWalks(
+            sample_permutations(self.seed, self.n_permutations,
+                                utility.n_players),
+            truncation_tol=self.truncation_tol, keeps_full_value=True)
 
-        running = np.zeros(n)
-        # Squared-sample accumulator for the CLT stderr; only maintained
-        # when someone is listening.
-        running_sq = np.zeros(n) if partial is not None else None
-        history: list[np.ndarray] = []
-        t = 0
-        stopped_early = False
+    def _fold_rule(self, utility: Utility, sampler) -> "PermutationFold":
+        return PermutationFold(
+            utility.n_players, convergence_tol=self.convergence_tol,
+            convergence_window=self.convergence_window)
 
-        def accumulate(permutation, marginals) -> np.ndarray | None:
-            """Fold one walk in, in order; the current estimate when the
-            stability criterion fires or the partial hook requests an
-            early stop, else ``None``."""
-            nonlocal t, stopped_early
-            t += 1
-            running[permutation] += marginals
-            if running_sq is not None:
-                running_sq[permutation] += marginals * marginals
-            if self.convergence_tol is not None:
-                history.append(running / t)
-                if len(history) > self.convergence_window:
-                    drift = np.abs(
-                        history[-1] - history[-1 - self.convergence_window])
-                    scale = np.abs(history[-1]) + 1e-12
-                    if float(np.mean(drift / scale)) < self.convergence_tol:
-                        self.n_permutations_used_ = t
-                        return running / t
-            if partial is not None:
-                stop = partial.publish(
-                    method="shapley_mc", completed=t,
-                    total=self.n_permutations, values=running / t,
-                    stderr=clt_stderr(running, running_sq, t))
-                if stop:
-                    stopped_early = True
-                    self.n_permutations_used_ = t
-                    return running / t
-            return None
 
-        def finish(estimate: np.ndarray) -> np.ndarray:
-            # An anytime stop must leave a durable, resumable snapshot:
-            # the resumed run replays `completed` and continues to the
-            # exact full-run result.
-            if stopped_early and session is not None:
-                session.flush()
-            return estimate
+class PermutationFold(FoldRule):
+    """Fold rule for permutation semivalues: the running mean of each
+    player's (optionally size-weighted) marginal contributions.
 
-        workers = (utility.runtime.executor.effective_workers
-                   if utility.runtime is not None else 1)
-        if self.convergence_tol is None and partial is None:
-            batch_size = self.n_permutations
-        else:
-            # Small batches keep the early-stop check responsive without
-            # starving the pool; a converged batch discards at most
-            # batch_size - 1 extra walks.
-            batch_size = max(self.convergence_window, workers)
-        if partial is not None:
-            batch_size = max(1, min(batch_size, partial_every(partial)))
-        if session is not None:
-            # Walks land at cadence boundaries, so every snapshot is a
-            # consistent prefix and resumed batching realigns with the
-            # original run's.
-            batch_size = min(batch_size, session.every)
+    ``weights[pos]`` scales the marginal observed at coalition size
+    ``pos``; ``None`` is the uniform Shapley weighting. With a
+    ``convergence_tol`` the rule stops on estimate stability: when the
+    mean relative change of the estimate over the last
+    ``convergence_window`` permutations falls below the tolerance —
+    checked per permutation, so the stopping point does not depend on
+    the batch size. Squared sums are kept for the CLT standard errors.
+    """
 
-        guard = session.session(
-            lambda: t, lambda: {"full_value": full_value.hex(),
-                                "marginals": [hex_floats(m)
-                                              for m in completed]},
-        ) if session is not None else contextlib.nullcontext()
-        with guard:
-            # Replay the snapshot's walks first — per permutation, in
-            # order, through the same accumulator — so running sums,
-            # history, and any convergence decision are bit-identical
-            # to the uninterrupted run's.
-            for marginals in list(completed):
-                converged = accumulate(permutations[t], marginals)
-                if converged is not None:
-                    return finish(converged)
-            while t < self.n_permutations:
-                batch = permutations[t:t + batch_size]
-                walks = utility.walk_permutations(
-                    batch, truncation_tol=self.truncation_tol,
-                    full_value=full_value, stage="shapley_mc")
-                completed.extend(walks)
-                for permutation, marginals in zip(batch, walks):
-                    converged = accumulate(permutation, marginals)
-                    if converged is not None:
-                        return finish(converged)
-                if session is not None:
-                    session.maybe_flush(t)
-        self.n_permutations_used_ = t
-        return running / t
+    def __init__(self, n: int, *, weights: np.ndarray | None = None,
+                 convergence_tol: float | None = None,
+                 convergence_window: int = 10):
+        self.weights = weights
+        self.convergence_tol = convergence_tol
+        if convergence_tol is not None:
+            self.window = convergence_window
+            self.history = deque(maxlen=convergence_window + 1)
+        self.running = np.zeros(n)
+        self.running_sq = np.zeros(n)
+
+    def fold(self, permutations, walks) -> bool:
+        for permutation, marginals in zip(permutations, walks):
+            if self.weights is not None:
+                marginals = self.weights * marginals
+            self.running[permutation] += marginals
+            self.running_sq[permutation] += marginals * marginals
+            self.folded += 1
+            if self.convergence_tol is None:
+                continue
+            history = self.history
+            history.append(self.running / self.folded)
+            if len(history) == history.maxlen:
+                drift = np.abs(history[-1] - history[0])
+                scale = np.abs(history[-1]) + 1e-12
+                if float(np.mean(drift / scale)) < self.convergence_tol:
+                    return True
+        return False
+
+    def estimate(self) -> np.ndarray:
+        return self.running / self.folded
+
+    def stderr(self) -> np.ndarray:
+        return clt_stderr(self.running, self.running_sq, self.folded)

@@ -46,6 +46,7 @@ from repro.runtime.checkpoint import (
     CheckpointRecord,
     CheckpointStore,
     LoopCheckpointer,
+    ShutdownRequested,
     flush_all,
     flush_on_shutdown,
     register_shutdown_flush,
@@ -107,6 +108,7 @@ __all__ = [
     "ProgressRecorder",
     "Runtime",
     "SerialExecutor",
+    "ShutdownRequested",
     "StageTimer",
     "TaskError",
     "ThreadExecutor",

@@ -27,8 +27,8 @@ Three layers:
   ``IterativeCleaner``, ``cpclean_greedy``, ``ShardedUnlearner``) embed:
   cadence control (``checkpoint_every``), identity verification on
   resume (the record must describe the *same* job — params, seed, data
-  fingerprint), a registered SIGTERM/SIGINT flush so an interrupted
-  session persists its final state before exiting, and the
+  fingerprint), a SIGTERM/SIGINT guard so an interrupted session
+  persists its final state before exiting, and the
   ``checkpoint.writes`` / ``checkpoint.bytes`` / ``checkpoint.restores``
   observer accounting.
 
@@ -58,6 +58,7 @@ __all__ = [
     "CheckpointStore",
     "Checkpointable",
     "LoopCheckpointer",
+    "ShutdownRequested",
     "flush_all",
     "flush_on_shutdown",
     "register_shutdown_flush",
@@ -330,18 +331,47 @@ def resolve_checkpoint_store(store, *, observer=None) -> CheckpointStore | None:
 #
 # A loop with an active checkpoint registers a zero-argument flush
 # callable here for the duration of its run. The first registration (in
-# the main thread) installs SIGTERM/SIGINT handlers; on signal, every
+# the main thread) installs SIGTERM/SIGINT handlers. On a signal, every
 # registered flush runs *first* (persisting final checkpoints), then the
 # live runtimes' worker pools are torn down, and finally the previous
 # handler semantics apply (KeyboardInterrupt for SIGINT, termination for
-# SIGTERM) — so a flushed checkpoint never races pool teardown, even on
-# exit paths where ``weakref.finalize``'s atexit integration never runs.
+# SIGTERM) — so a flushed checkpoint never races pool teardown.
+#
+# Where the flush runs depends on what the main thread is doing. While a
+# main-thread guard (:class:`flush_on_shutdown`) is open, the handler
+# does no lock and no I/O: it runs between two bytecodes of the guarded
+# loop, possibly while that loop holds a non-reentrant lock (the
+# checkpoint store's, the metrics registry's) that a flush would need.
+# It only raises :class:`ShutdownRequested`, so every ``with lock:`` on
+# the way out releases its lock, and the guard flushes on exit. With no
+# main-thread guard open (hooks registered directly, or only by loops on
+# worker threads), the handler flushes inline, as nothing on the main
+# thread would catch the exception.
 
 _FLUSH_LOCK = threading.Lock()
 _FLUSH_HOOKS: dict[int, object] = {}
 _FLUSH_COUNTER = 0
 _PREVIOUS_HANDLERS: dict[int, object] = {}
 _SHUTDOWN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+_SHUTTING_DOWN = False
+_GUARD_DEPTH = 0  # main-thread flush_on_shutdown guards currently open
+
+
+class ShutdownRequested(BaseException):
+    """SIGTERM/SIGINT arrived while a checkpointed loop was armed.
+
+    Raised by the signal handler on the main thread while a
+    main-thread :class:`flush_on_shutdown` guard is open; a
+    :class:`BaseException` so ordinary ``except Exception`` recovery
+    code lets it through. The innermost guard
+    (``LoopCheckpointer.armed``) catches it, flushes every registered
+    checkpoint, and re-delivers ``signum``.
+    """
+
+    def __init__(self, signum: int, frame=None):
+        super().__init__(f"shutdown requested by signal {signum}")
+        self.signum = signum
+        self.frame = frame
 
 
 def _run_flush_hooks() -> None:
@@ -355,17 +385,34 @@ def _run_flush_hooks() -> None:
 
 
 def _shutdown_handler(signum, frame) -> None:
+    """Unwind a guarded main-thread loop to its guard, which flushes;
+    with no guard open, flush here."""
+    if _SHUTTING_DOWN \
+            or _PREVIOUS_HANDLERS.get(signum) == signal.SIG_IGN:
+        return
+    if _GUARD_DEPTH:
+        raise ShutdownRequested(signum, frame)
+    _shut_down(signum, frame)
+
+
+def _shut_down(signum: int, frame) -> None:
     """Flush checkpoints, release pools, then honour the signal."""
+    global _SHUTTING_DOWN
     from repro.runtime.runtime import close_all_runtimes
 
-    _run_flush_hooks()
-    # Pools after checkpoints: the flush above must never race teardown.
-    close_all_runtimes(wait=False)
-    previous = _PREVIOUS_HANDLERS.get(signum, signal.SIG_DFL)
-    _uninstall_handlers()
+    _SHUTTING_DOWN = True  # a repeated signal must not interrupt the flush
+    try:
+        _run_flush_hooks()
+        # Pools after checkpoints: the flush above must never race
+        # teardown.
+        close_all_runtimes(wait=False)
+        previous = _PREVIOUS_HANDLERS.get(signum, signal.SIG_DFL)
+        _uninstall_handlers()
+    finally:
+        _SHUTTING_DOWN = False
     if callable(previous):
         previous(signum, frame)
-    elif previous != signal.SIG_IGN:
+    else:
         # Default disposition: re-deliver so the exit status is the
         # conventional "killed by signal" one.
         os.kill(os.getpid(), signum)
@@ -406,6 +453,20 @@ def _uninstall_handlers() -> None:
             pass
     _PREVIOUS_HANDLERS.clear()
     _HANDLERS_INSTALLED = False
+
+
+def _reset_in_forked_child() -> None:
+    # A forked child (a process-pool worker) inherits the parent's
+    # hooks, guard depth and handlers, none of which are its own: drop
+    # them so a signal acts on the child as if nothing was registered.
+    global _FLUSH_LOCK, _GUARD_DEPTH
+    _FLUSH_LOCK = threading.Lock()  # another thread may have held it
+    _FLUSH_HOOKS.clear()
+    _GUARD_DEPTH = 0
+    _uninstall_handlers()
+
+
+os.register_at_fork(after_in_child=_reset_in_forked_child)
 
 
 def register_shutdown_flush(flush) -> int:
@@ -449,20 +510,42 @@ def unregister_shutdown_flush(handle: int) -> None:
 
 
 class flush_on_shutdown:
-    """Context manager form of :func:`register_shutdown_flush`."""
+    """Context manager form of :func:`register_shutdown_flush`.
+
+    On the main thread, also the place a SIGTERM/SIGINT is honoured:
+    the body is unwound by :class:`ShutdownRequested`, and the exit runs
+    :func:`flush_all`, then ``close_all_runtimes(wait=False)``, then
+    re-delivers the signal under its previous disposition (the process
+    terminates, or SIGINT's ``KeyboardInterrupt`` propagates).
+    """
 
     def __init__(self, flush):
         self._flush = flush
         self._handle: int | None = None
+        self._guarding = False
 
     def __enter__(self):
+        global _GUARD_DEPTH
         self._handle = register_shutdown_flush(self._flush)
+        # Last: a signal before this point is flushed by the handler
+        # itself, one after it unwinds the body to __exit__.
+        if threading.current_thread() is threading.main_thread():
+            self._guarding = True
+            _GUARD_DEPTH += 1
         return self
 
-    def __exit__(self, *exc):
-        if self._handle is not None:
-            unregister_shutdown_flush(self._handle)
-            self._handle = None
+    def __exit__(self, exc_type, exc, tb):
+        global _GUARD_DEPTH
+        if self._guarding:
+            _GUARD_DEPTH -= 1  # from here, a signal flushes inline
+            self._guarding = False
+        try:
+            if isinstance(exc, ShutdownRequested):
+                _shut_down(exc.signum, exc.frame)
+        finally:
+            if self._handle is not None:
+                unregister_shutdown_flush(self._handle)
+                self._handle = None
         return False
 
 
@@ -564,8 +647,8 @@ class LoopCheckpointer:
         """Set the snapshot provider used by cadence and signal flushes.
 
         ``state_fn()`` must return the payload dict including a
-        ``completed`` count; it is called under the loop's own thread on
-        cadence flushes and from the signal handler on shutdown, so it
+        ``completed`` count; it is called on the loop's own thread on
+        cadence flushes and from the armed guard on shutdown, so it
         must only *read* loop state.
         """
         self._state_fn = state_fn
@@ -596,9 +679,11 @@ class LoopCheckpointer:
         """Arm the snapshot provider and return the signal-flush guard.
 
         Intended as ``with ckpt.armed(state): ...`` around the loop
-        body — on SIGTERM/SIGINT the final state is flushed before the
-        process exits; on normal exit the hook is removed before the
-        loop's runtime/pool teardown, so a flush never races it.
+        body — a SIGTERM/SIGINT unwinds the body (see
+        :class:`ShutdownRequested`) and the final state is flushed
+        before the process exits; on normal exit the hook is removed
+        before the loop's runtime/pool teardown, so a flush never races
+        it.
         """
         self.arm(state_fn)
         return flush_on_shutdown(self.flush)

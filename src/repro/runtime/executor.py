@@ -47,6 +47,7 @@ from concurrent.futures import (
 )
 
 from repro.core.exceptions import ValidationError
+from repro.runtime.checkpoint import ShutdownRequested
 from repro.runtime.faults import (
     FaultEvent,
     FaultStats,
@@ -163,10 +164,10 @@ class Executor:
         """Release pooled workers (no-op for serial).
 
         ``wait=False`` abandons in-flight chunks instead of joining them
-        — the shutdown-path variant used by the checkpoint signal
-        handler, where a flushed checkpoint must not block on (or race)
-        pool teardown. Safe to call repeatedly and during interpreter
-        shutdown.
+        (a process pool's workers are terminated) — the shutdown-path
+        variant used by the checkpoint shutdown path, where a flushed
+        checkpoint must not block on (or race) pool teardown. Safe to
+        call repeatedly and during interpreter shutdown.
         """
 
     def __enter__(self):
@@ -420,6 +421,13 @@ class _PooledExecutor(Executor):
                     expire_timeouts()
                 if cancel is not None and cancel.cancelled:
                     raise JobCancelled(f"{stage} cancelled by caller")
+        except ShutdownRequested:
+            # Abandon in-flight chunks at once: the final checkpoint
+            # flush must not wait on them within the signal's grace
+            # period (the shutdown guard then releases the pool).
+            for future in pending:
+                future.cancel()
+            raise
         except BaseException:
             self._drain(pending)
             raise
@@ -622,13 +630,8 @@ class ProcessExecutor(_PooledExecutor):
     def _terminate_workers(self) -> None:
         with self._registry_lock:
             pool = self._pools.get(self._current_digest())
-        if pool is None:
-            return
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
+        if pool is not None:
+            _terminate(_worker_processes(pool))
 
     def close(self, wait: bool = True) -> None:
         with self._registry_lock:
@@ -636,10 +639,27 @@ class ProcessExecutor(_PooledExecutor):
             self._pools.clear()
             self._refs.clear()
         for pool in pools:
+            workers = _worker_processes(pool)  # shutdown forgets them
             try:
                 pool.shutdown(wait=wait, cancel_futures=not wait)
             except Exception:  # interpreter/pool teardown already underway
                 pass
+            if not wait:
+                # Abandoned chunks' workers are stopped too: the caller
+                # is about to exit, and none of them may outlive it.
+                _terminate(workers)
+
+
+def _worker_processes(pool) -> list:
+    return list((getattr(pool, "_processes", None) or {}).values())
+
+
+def _terminate(processes) -> None:
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:
+            pass
 
 
 def get_executor(backend, max_workers: int | None = None) -> Executor:

@@ -248,13 +248,13 @@ def resolve_runtime(runtime, *, faults=None) -> Runtime | None:
 def close_all_runtimes(wait: bool = True) -> None:
     """Release every live runtime's worker pool.
 
-    The checkpoint signal handler calls this (with ``wait=False``)
-    *after* flushing final checkpoints, covering the signal-exit paths
-    where the per-runtime ``weakref.finalize`` safety net never runs —
-    a SIGTERM'd session neither reaches atexit nor unwinds ``finally``
-    blocks, so without this the pools' children would outlive the
-    driver. Ordering matters: checkpoints first, pools second, so a
-    flushed checkpoint never races pool teardown.
+    The checkpoint shutdown path calls this (with ``wait=False``)
+    *after* flushing final checkpoints and before re-delivering the
+    signal, covering the signal-exit paths where the per-runtime
+    ``weakref.finalize`` safety net never runs — a SIGTERM'd session
+    never reaches atexit, so without this the pools' children would
+    outlive the driver. Ordering matters: checkpoints first, pools
+    second, so a flushed checkpoint never races pool teardown.
     """
     for runtime in list(_LIVE_RUNTIMES):
         try:

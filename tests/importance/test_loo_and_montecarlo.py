@@ -123,3 +123,18 @@ class TestBetaShapley:
         worst = set(np.argsort(values)[:20].tolist())
         flipped = set(dirty_blobs["flipped"].tolist())
         assert len(worst & flipped) / len(flipped) >= 0.4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MonteCarloShapley(convergence_tol=0.01, convergence_window=0),
+    lambda: MonteCarloShapley(convergence_tol=0.01, convergence_window=-3),
+    lambda: MonteCarloShapley(convergence_tol=0.0),
+    lambda: MonteCarloShapley(convergence_tol=-0.5),
+    lambda: BetaShapley(alpha=-1),
+    lambda: BetaShapley(alpha=0.0),
+    lambda: BetaShapley(beta=-2.0),
+], ids=["window-0", "window-neg", "tol-0", "tol-neg", "alpha-neg",
+        "alpha-0", "beta-neg"])
+def test_invalid_sampling_params_rejected_at_construction(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -100,6 +100,28 @@ class TestPublishContract:
         # two-leg total matches one uninterrupted run exactly
         assert resumed_utility.calls == full_utility.calls
 
+    def test_resume_publishes_as_the_uninterrupted_run(self, method,
+                                                       tmp_path):
+        """The restored prefix replays batch by batch: a resumed run
+        publishes the same sequence, and a stop armed below the
+        snapshot stops mid-replay where the uninterrupted run would."""
+        full = Recorder(every=1)
+        RUNNERS[method](make_utility(), partial=full)
+        store = tmp_path / method
+        stop_at = 3 if method != "banzhaf" else 4
+        RUNNERS[method](make_utility(), checkpoint=store,
+                        partial=Recorder(every=1, stop_at=stop_at))
+        resumed = Recorder(every=1)
+        RUNNERS[method](make_utility(), resume_from=store, partial=resumed)
+        assert [s["completed"] for s in resumed.snaps] \
+            == [s["completed"] for s in full.snaps]
+        for got, want in zip(resumed.snaps, full.snaps):
+            assert hexes(got["values"]) == hexes(want["values"])
+        stopped = Recorder(every=1, stop_at=stop_at - 1)
+        RUNNERS[method](make_utility(), resume_from=store, partial=stopped)
+        assert [s["completed"] for s in stopped.snaps] \
+            == list(range(1, stop_at))
+
 
 class TestConfidenceIntervals:
     def test_stderr_shrinks_with_sample_count(self):

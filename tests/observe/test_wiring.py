@@ -95,6 +95,35 @@ def test_other_estimators_emit_importance_run(game, method, build):
     assert obs.metrics.snapshot()["utility.evaluations"] > 0
 
 
+class _StopAt:
+    """``partial=`` hook that stops the loop once ``n`` units folded."""
+
+    every = 1
+
+    def __init__(self, n):
+        self.n = n
+
+    def publish(self, **fields):
+        return fields["completed"] >= self.n
+
+
+@pytest.mark.parametrize("counter,run", [
+    ("importance.permutations", lambda u, obs, hook: MonteCarloShapley(
+        n_permutations=20, seed=0, observer=obs, partial=hook).score(u)),
+    ("importance.permutations", lambda u, obs, hook: BetaShapley(
+        n_permutations=20, seed=0, observer=obs, partial=hook).score(u)),
+    ("importance.coalitions", lambda u, obs, hook: DataBanzhaf(
+        n_samples=40, seed=0, observer=obs, partial=hook).score(u)),
+    ("importance.coalitions", lambda u, obs, hook: leave_one_out(
+        u, observer=obs, partial=hook)),
+], ids=["shapley_mc", "beta_shapley", "banzhaf", "leave_one_out"])
+def test_unit_counter_counts_folded_units_after_early_stop(game, counter,
+                                                           run):
+    obs = Observer()
+    run(game(), obs, _StopAt(5))
+    assert obs.metrics.snapshot()[counter] == 5
+
+
 def test_leave_one_out_emits_event(game):
     obs = Observer()
     leave_one_out(game(), observer=obs)

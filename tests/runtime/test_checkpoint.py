@@ -535,6 +535,164 @@ class TestKillAndResume:
         assert resumed["calls"] == ref["calls"]
 
 
+_LOCK_HELD_DRIVER = '''\
+"""SIGTERM delivered while the main thread holds the store's lock."""
+import os
+import signal
+import sys
+import time
+
+from repro.runtime import LoopCheckpointer
+
+ckpt = LoopCheckpointer(sys.argv[1], kind="demo", identity="job", every=100)
+state = {"completed": 0}
+with ckpt.armed(lambda: dict(state)):
+    state["completed"] = 5
+    with ckpt.store._lock:
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(60)
+'''
+
+
+class TestShutdownUnderLock:
+    def test_sigterm_while_store_lock_held_flushes_and_exits(self, tmp_path):
+        """A signal arriving while the loop holds the (non-reentrant)
+        store lock must not deadlock the flush: the process exits by
+        SIGTERM, leaving the final state as a durable record."""
+        driver = tmp_path / "lock_held.py"
+        driver.write_text(_LOCK_HELD_DRIVER)
+        store_dir = tmp_path / "store"
+        process = subprocess.Popen(
+            [sys.executable, str(driver), str(store_dir)],
+            env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path)
+        try:
+            returncode = process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()  # a deadlocked handler ignores SIGTERM
+            process.wait()
+            pytest.fail("SIGTERM under the store lock deadlocked the flush")
+        assert returncode == -signal.SIGTERM
+        record = CheckpointStore(store_dir).load_latest("demo")
+        assert record is not None
+        assert record.payload["completed"] == 5
+
+
+_UNGUARDED_DRIVER = '''\
+"""SIGTERM with a hook registered directly, outside any armed guard."""
+import os
+import signal
+import sys
+import time
+from pathlib import Path
+
+from repro.runtime import register_shutdown_flush
+
+register_shutdown_flush(lambda: Path(sys.argv[1]).write_text("flushed"))
+os.kill(os.getpid(), signal.SIGTERM)
+time.sleep(60)
+'''
+
+_POOLED_DRIVER = '''\
+"""SIGTERM while an armed loop waits on in-flight process-pool chunks."""
+import os
+import sys
+import time
+from pathlib import Path
+
+from repro.runtime import LoopCheckpointer, Runtime
+
+
+def slow(shared, started):
+    """Signal the chunk started, then run for 20 s (or until orphaned)."""
+    parent = os.getppid()
+    (Path(started) / str(os.getpid())).touch()
+    deadline = time.monotonic() + 20
+    while time.monotonic() < deadline and os.getppid() == parent:
+        time.sleep(0.05)
+    return marker
+
+
+if __name__ == "__main__":
+    store, started = sys.argv[1], sys.argv[2]
+    runtime = Runtime("process", max_workers=2)
+    ckpt = LoopCheckpointer(store, kind="demo", identity="job", every=100)
+    state = {"completed": 7}
+    with ckpt.armed(lambda: dict(state)):
+        runtime.map(slow, [started, started], stage="demo")
+'''
+
+
+def _run_until_exit(argv, *, timeout, started=None):
+    """Run a driver script; returns (returncode, seconds from the
+    SIGTERM it receives — or sends itself — to its exit). With
+    ``started``, the signal is sent once that directory has an entry."""
+    process = subprocess.Popen([sys.executable, *argv],
+                               env=dict(os.environ, PYTHONPATH=SRC))
+    try:
+        if started is not None:
+            deadline = time.monotonic() + 60
+            while not any(started.iterdir()):
+                assert process.poll() is None, "driver exited early"
+                assert time.monotonic() < deadline, "chunk never started"
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+        sent = time.monotonic()
+        returncode = process.wait(timeout=timeout)
+        return returncode, time.monotonic() - sent
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+        pytest.fail(f"no exit within {timeout} s of SIGTERM")
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie counts as exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestShutdownOutsideGuard:
+    def test_directly_registered_hook_flushes_on_sigterm(self, tmp_path):
+        """A hook registered outside any armed guard still runs on
+        SIGTERM, and the process still dies by the signal."""
+        driver = tmp_path / "unguarded.py"
+        driver.write_text(_UNGUARDED_DRIVER)
+        flushed = tmp_path / "flushed.txt"
+        returncode, _ = _run_until_exit([str(driver), str(flushed)],
+                                        timeout=30)
+        assert returncode == -signal.SIGTERM
+        assert flushed.read_text() == "flushed"
+
+    def test_sigterm_during_pooled_map_skips_the_drain_wait(self, tmp_path):
+        """In-flight process-pool chunks are abandoned, not drained:
+        the final flush lands, the process exits by SIGTERM well inside
+        a 10 s grace period, and no pool worker outlives it."""
+        driver = tmp_path / "pooled.py"
+        driver.write_text(_POOLED_DRIVER)
+        store_dir, started = tmp_path / "store", tmp_path / "started"
+        started.mkdir()
+        returncode, elapsed = _run_until_exit(
+            [str(driver), str(store_dir), str(started)], timeout=30,
+            started=started)
+        assert returncode == -signal.SIGTERM
+        assert elapsed < 5.0
+        record = CheckpointStore(store_dir).load_latest("demo")
+        assert record is not None
+        assert record.payload["completed"] == 7
+        workers = [int(entry.name) for entry in started.iterdir()]
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers):
+            if time.monotonic() > deadline:
+                for pid in workers:
+                    if _alive(pid):
+                        os.kill(pid, signal.SIGKILL)
+                pytest.fail("pool workers outlived the signalled driver")
+            time.sleep(0.1)
+
+
 class TestSharedStoreConcurrency:
     """Two resuming workers sharing one store must never crash each
     other: keep-N pruning tolerates already-deleted records, and a file
