@@ -4,7 +4,7 @@ The package gives the debugging loops a data path with the same
 robustness contract PR 4–5 gave the compute path:
 
 - :mod:`repro.data.shards` — the on-disk format: checksummed shards
-  published atomically (mkstemp + fsync + rename), a versioned manifest
+  published atomically (:mod:`repro.runtime.durable`), a versioned manifest
   that only ever references complete shards, resumable writers, and a
   quarantine/mirror-heal story for corruption.
 - :mod:`repro.data.reader` — :class:`ShardReader`: round-robin shard

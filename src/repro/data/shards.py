@@ -8,12 +8,12 @@ checksum-verified shards.
 
 - **Shard files** hold one batch of named numpy arrays in a simple
   length-prefixed container (``.npy`` blobs behind a JSON header).
-  Every shard is published atomically — written to a ``mkstemp`` temp
-  file in the same directory, flushed, ``fsync``'d, then ``os.replace``d
-  into its final name — and its SHA-256 is recorded at write time.
-- **The manifest** is a schema-versioned envelope (payload JSON +
-  content hash, the same shape as :class:`repro.runtime.CheckpointStore`
-  records) published with the same atomic sequence. While a
+  Every shard is published atomically with
+  :func:`repro.runtime.durable.publish` and its SHA-256 is recorded at
+  write time.
+- **The manifest** is the schema-versioned SHA-256 envelope of
+  :mod:`repro.runtime.durable` (the shape of checkpoint records),
+  published the same way. While a
   :class:`ShardWriter` is still appending, a *partial* manifest journal
   is re-published after every shard, so a killed writer can be resumed
   with :meth:`ShardWriter.resume` and the finished dataset is identical
@@ -36,13 +36,12 @@ Layout of a dataset directory::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import shutil
-import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +49,14 @@ import numpy as np
 
 from repro.core.exceptions import DataError, ValidationError
 from repro.observe.observer import resolve_observer
+from repro.runtime.durable import (  # noqa: F401  (re-exports the seam)
+    _SLOW_PUBLISH_ENV,
+    IntegrityError,
+    encode_envelope,
+    publish,
+    read_envelope,
+    read_verified,
+)
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -72,11 +79,6 @@ QUARANTINE_DIR = "quarantine"
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".shard"
 _MAGIC = b"RSHARD1\n"
-
-#: Test seam: seconds to sleep between writing a temp file and renaming
-#: it into place, so torn-write tests can SIGKILL deterministically
-#: inside the publish window. Never set outside the test suite.
-_SLOW_PUBLISH_ENV = "REPRO_DATA_SLOW_PUBLISH"
 
 
 class ShardCorruptionError(DataError):
@@ -175,88 +177,44 @@ def _unpack_arrays(data: bytes, *, index: int | None = None,
     return arrays
 
 
-# --- atomic publish ---------------------------------------------------------
-
-def _atomic_publish(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so a crash never exposes a torn file:
-    temp file in the same directory, flush + fsync, then ``os.replace``
-    and a best-effort directory fsync to make the rename durable."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        delay = os.environ.get(_SLOW_PUBLISH_ENV)
-        if delay:  # torn-write test seam: widen the kill window
-            time.sleep(float(delay))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        dir_fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
-def _manifest_envelope(payload: dict) -> bytes:
-    payload_json = json.dumps(payload, sort_keys=True)
-    envelope = {
-        "schema": MANIFEST_SCHEMA,
-        "sha256": hashlib.sha256(payload_json.encode()).hexdigest(),
-        "payload": payload_json,
-    }
-    return json.dumps(envelope).encode()
-
+# --- verified reads ---------------------------------------------------------
 
 def _read_manifest(path: Path) -> dict | None:
     """Decode + verify one manifest file; ``None`` when absent, a
     :class:`ShardCorruptionError` when present but torn/garbled."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        return read_envelope(path, MANIFEST_SCHEMA)[1]
     except FileNotFoundError:
         return None
     except OSError as error:
         raise ShardCorruptionError(
             f"manifest {path} is unreadable: {error}", path=path) from error
+    except IntegrityError as error:
+        raise ShardCorruptionError(
+            f"manifest {path} failed verification: {error.reason}",
+            path=path) from error
 
-    def corrupt(reason: str) -> ShardCorruptionError:
-        return ShardCorruptionError(
-            f"manifest {path} failed verification: {reason}", path=path)
 
+def _read_shard(path: Path, info: "ShardInfo", sha256: str | None) -> bytes:
+    """Shard ``info``'s bytes at ``path``, checked against ``sha256``
+    unless it is ``None``; :class:`ShardCorruptionError` otherwise."""
+    index = info.index
     try:
-        envelope = json.loads(raw)
-    except ValueError as error:
-        raise corrupt(f"garbled JSON: {error}") from error
-    if not isinstance(envelope, dict) \
-            or envelope.get("schema") != MANIFEST_SCHEMA:
-        raise corrupt(f"unknown schema {envelope.get('schema')!r}"
-                      if isinstance(envelope, dict) else "not an object")
-    payload_json = envelope.get("payload")
-    if not isinstance(payload_json, str):
-        raise corrupt("missing payload")
-    digest = hashlib.sha256(payload_json.encode()).hexdigest()
-    if digest != envelope.get("sha256"):
-        raise corrupt("content hash mismatch")
-    try:
-        return json.loads(payload_json)
-    except ValueError as error:
-        raise corrupt(f"garbled payload: {error}") from error
+        return read_verified(path, sha256)
+    except IntegrityError as error:
+        raise ShardCorruptionError(
+            f"shard {index} fails its checksum ({path}): the file was "
+            "modified or torn after publication", index=index,
+            path=path) from error
+    except FileNotFoundError as error:
+        quarantined = path.parent / QUARANTINE_DIR / info.name
+        hint = " (it sits in quarantine/)" if quarantined.exists() else ""
+        raise ShardCorruptionError(f"shard {index} is missing{hint}: {path}",
+                                   index=index, path=path) from error
+    except OSError as error:
+        raise ShardCorruptionError(
+            f"shard {index} is unreadable ({path}): {error}",
+            index=index, path=path) from error
 
 
 def _shard_name(index: int) -> str:
@@ -307,6 +265,8 @@ class ShardWriter:
                 "reopen it with ShardWriter.resume(path) to continue, or "
                 "clear the directory to start over")
         self.mirror = bool(mirror)
+        if self.mirror:
+            (self.path / MIRROR_DIR).mkdir(exist_ok=True)
         self.observer = resolve_observer(observer)
         self.shards: list[ShardInfo] = list(_resumed_shards or [])
         self.array_names: list[str] | None = None
@@ -345,38 +305,16 @@ class ShardWriter:
         writer.array_names = payload.get("arrays") if payload else None
         writer._sweep_temp_files()
         for info in shards:
-            writer._verify_file(path / info.name, info)
+            _read_shard(path / info.name, info, info.sha256)
         return writer
 
     def _sweep_temp_files(self) -> None:
         """Remove temp files a killed publish left behind (never visible
         to readers, but they waste space and confuse humans)."""
-        for stray in self.path.glob("*.tmp"):
-            try:
-                stray.unlink()
-            except OSError:
-                pass
-        mirror_dir = self.path / MIRROR_DIR
-        if mirror_dir.is_dir():
-            for stray in mirror_dir.glob("*.tmp"):
-                try:
+        for directory in (self.path, self.path / MIRROR_DIR):
+            for stray in directory.glob("*.tmp"):
+                with contextlib.suppress(OSError):
                     stray.unlink()
-                except OSError:
-                    pass
-
-    @staticmethod
-    def _verify_file(path: Path, info: ShardInfo) -> None:
-        try:
-            data = path.read_bytes()
-        except OSError as error:
-            raise ShardCorruptionError(
-                f"journaled shard {info.index} is missing or unreadable "
-                f"({path}): {error}", index=info.index, path=path) from error
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != info.sha256:
-            raise ShardCorruptionError(
-                f"journaled shard {info.index} fails its checksum ({path})",
-                index=info.index, path=path)
 
     # -- append ------------------------------------------------------------
     @property
@@ -416,9 +354,9 @@ class ShardWriter:
         data = _pack_arrays(arrays)
         digest = hashlib.sha256(data).hexdigest()
         name = _shard_name(index)
-        _atomic_publish(self.path / name, data)
+        publish(self.path / name, data)
         if self.mirror:
-            _atomic_publish(self.path / MIRROR_DIR / name, data)
+            publish(self.path / MIRROR_DIR / name, data)
         info = ShardInfo(index=index, name=name, rows=rows, sha256=digest,
                          nbytes=len(data))
         self.shards.append(info)
@@ -440,9 +378,9 @@ class ShardWriter:
         }
 
     def _publish_partial(self) -> None:
-        _atomic_publish(self.path / PARTIAL_MANIFEST_NAME,
-                        _manifest_envelope(
-                            self._manifest_payload(partial=True)))
+        publish(self.path / PARTIAL_MANIFEST_NAME,
+                encode_envelope(MANIFEST_SCHEMA,
+                                self._manifest_payload(partial=True)))
 
     # -- finalize ----------------------------------------------------------
     def finalize(self, meta: dict | None = None) -> "ShardedDataset":
@@ -459,13 +397,11 @@ class ShardWriter:
             raise ValidationError("cannot finalize an empty dataset")
         if meta:
             self.meta.update(meta)
-        _atomic_publish(self.path / MANIFEST_NAME,
-                        _manifest_envelope(
-                            self._manifest_payload(partial=False)))
-        try:
+        publish(self.path / MANIFEST_NAME,
+                encode_envelope(MANIFEST_SCHEMA,
+                                self._manifest_payload(partial=False)))
+        with contextlib.suppress(OSError):
             (self.path / PARTIAL_MANIFEST_NAME).unlink()
-        except OSError:
-            pass
         self._finalized = True
         return ShardedDataset(self.path, observer=self.observer)
 
@@ -563,20 +499,8 @@ class ShardedDataset:
 
     # -- reading -----------------------------------------------------------
     def read_shard_bytes(self, index: int) -> bytes:
-        info = self.shards[index]
-        path = self.shard_path(index)
-        try:
-            return path.read_bytes()
-        except FileNotFoundError as error:
-            quarantined = self.path / QUARANTINE_DIR / info.name
-            hint = " (it sits in quarantine/)" if quarantined.exists() else ""
-            raise ShardCorruptionError(
-                f"shard {index} is missing{hint}: {path}",
-                index=index, path=path) from error
-        except OSError as error:
-            raise ShardCorruptionError(
-                f"shard {index} is unreadable ({path}): {error}",
-                index=index, path=path) from error
+        """Shard ``index``'s raw file bytes, unverified."""
+        return _read_shard(self.shard_path(index), self.shards[index], None)
 
     def load_shard(self, index: int, *, verify: bool = True,
                    observer=None) -> dict[str, np.ndarray]:
@@ -585,15 +509,8 @@ class ShardedDataset:
             raise ValidationError(
                 f"shard index {index} out of range [0, {self.n_shards})")
         info = self.shards[index]
-        data = self.read_shard_bytes(index)
-        if verify:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != info.sha256:
-                raise ShardCorruptionError(
-                    f"shard {index} fails its checksum "
-                    f"({self.shard_path(index)}): the file was modified or "
-                    "torn after publication", index=index,
-                    path=self.shard_path(index))
+        data = _read_shard(self.shard_path(index), info,
+                           info.sha256 if verify else None)
         arrays = _unpack_arrays(data, index=index, path=self.shard_path(index))
         observer = self.observer if observer is None \
             else resolve_observer(observer)
@@ -630,14 +547,12 @@ class ShardedDataset:
         the replica itself fails its checksum.
         """
         info = self.shards[index]
-        replica = self.path / MIRROR_DIR / info.name
         try:
-            data = replica.read_bytes()
-        except OSError:
+            data = read_verified(self.path / MIRROR_DIR / info.name,
+                                 info.sha256)
+        except (OSError, IntegrityError):
             return False
-        if hashlib.sha256(data).hexdigest() != info.sha256:
-            return False
-        _atomic_publish(self.shard_path(index), data)
+        publish(self.shard_path(index), data)
         return True
 
     def verify_all(self) -> list[int]:
@@ -646,11 +561,8 @@ class ShardedDataset:
         damaged: list[int] = []
         for index, info in enumerate(self.shards):
             try:
-                data = self.read_shard_bytes(index)
+                _read_shard(self.shard_path(index), info, info.sha256)
             except ShardCorruptionError:
-                damaged.append(index)
-                continue
-            if hashlib.sha256(data).hexdigest() != info.sha256:
                 damaged.append(index)
         return damaged
 

@@ -14,11 +14,11 @@ uninterrupted run, on any backend.
 Three layers:
 
 - :class:`CheckpointStore` — a crash-safe, append-only record store.
-  Every record is one file, published atomically (temp file + ``fsync``
-  + ``os.replace``) and self-verifying (schema version + SHA-256 content
-  hash). A truncated or garbled record is *detected*, surfaced as an
-  ``executor.checkpoint_corrupt`` runlog event, and skipped in favour of
-  the last good record — never a crash.
+  Every record is one file, published atomically and self-verifying
+  (the schema-versioned SHA-256 envelope of
+  :mod:`repro.runtime.durable`). A truncated or garbled record is
+  *detected*, surfaced as an ``executor.checkpoint_corrupt`` runlog
+  event, and skipped in favour of the last good record — never a crash.
 - :class:`Checkpointable` — the protocol a resumable loop speaks:
   ``checkpoint_kind`` names the payload schema, ``checkpoint_state()``
   snapshots completed work, ``restore_state()`` replays a snapshot.
@@ -38,19 +38,25 @@ restored marginals/scores are *bitwise* identical to the originals.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import contextlib
 import os
+import re
 import signal
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.core.exceptions import ValidationError
+from repro.observe.metrics import global_registry
 from repro.observe.observer import resolve_observer
 from repro.observe.runlog import jsonable
+from repro.runtime.durable import (
+    IntegrityError,
+    encode_envelope,
+    publish,
+    read_envelope,
+)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -71,8 +77,9 @@ __all__ = [
 #: like a corrupt record: skip it, fall back to the last good one.
 CHECKPOINT_SCHEMA = 1
 
-_RECORD_PREFIX = "ckpt-"
-_RECORD_SUFFIX = ".json"
+#: A record's file name: its zero-padded sequence number. Other files in
+#: the store directory (a stray ``ckpt-backup.json``) are not records.
+_RECORD_NAME = re.compile(r"ckpt-(\d{8,})\.json")
 
 #: Sentinel: a record file listed but gone by read time — a concurrent
 #: worker pruned it. Distinct from ``None`` (corrupt) so shared-store
@@ -131,11 +138,10 @@ class CheckpointStore:
         Default :class:`repro.observe.Observer` for write/restore
         accounting; individual calls may override it.
 
-    Every record is published atomically — written to a temp file in the
-    same directory, flushed and fsynced, then ``os.replace``d into its
-    final name — so a reader (or a resumed run) never observes a
-    half-written record. Each record embeds a SHA-256 hash of its
-    payload and the schema version; :meth:`load_latest` verifies both
+    Every record is published with :func:`repro.runtime.durable.publish`,
+    so a reader (or a resumed run) never observes a half-written record,
+    and framed by :func:`~repro.runtime.durable.encode_envelope` (schema
+    version + SHA-256 of the payload); :meth:`load_latest` verifies both
     and falls back past corrupt records instead of crashing.
     """
 
@@ -151,21 +157,20 @@ class CheckpointStore:
 
     # -- record files ------------------------------------------------------
     def record_paths(self) -> list[Path]:
-        """Record files in sequence order (oldest first)."""
-        return sorted(self.path.glob(f"{_RECORD_PREFIX}*{_RECORD_SUFFIX}"))
+        """Record files (``ckpt-<seq>.json``) in sequence order, oldest
+        first; files with any other name are ignored."""
+        paths = [path for path in self.path.glob("ckpt-*.json")
+                 if _RECORD_NAME.fullmatch(path.name)]
+        # Shorter digit strings are smaller numbers: numeric order.
+        return sorted(paths, key=lambda path: (len(path.name), path.name))
 
     def __len__(self) -> int:
         return len(self.record_paths())
 
     def _next_seq(self) -> int:
         paths = self.record_paths()
-        if not paths:
-            return 0
-        stem = paths[-1].name[len(_RECORD_PREFIX):-len(_RECORD_SUFFIX)]
-        try:
-            return int(stem) + 1
-        except ValueError:
-            return len(paths)
+        return int(_RECORD_NAME.fullmatch(paths[-1].name)[1]) + 1 \
+            if paths else 0
 
     # -- write -------------------------------------------------------------
     def write(self, kind: str, payload: dict, *,
@@ -174,72 +179,31 @@ class CheckpointStore:
 
         The payload is JSON-serialized (numpy scalars/arrays coerced via
         :func:`repro.observe.jsonable`), content-hashed, and wrapped in
-        a schema-versioned envelope. The temp-write + fsync +
-        ``os.replace`` sequence guarantees a crash mid-write leaves the
-        previous record intact and never a half-record under the final
-        name.
+        a schema-versioned envelope. :func:`repro.runtime.durable.publish`
+        guarantees a crash mid-write leaves the previous record intact
+        and never a half-record under the final name.
         """
         observer = self.observer if observer is None \
             else resolve_observer(observer)
         payload = jsonable(payload)
-        payload_json = json.dumps(payload, sort_keys=True)
         with self._lock:
             seq = self._next_seq()
-            envelope = {
-                "schema": CHECKPOINT_SCHEMA,
-                "seq": seq,
-                "kind": kind,
-                "sha256": hashlib.sha256(payload_json.encode()).hexdigest(),
-                "payload": payload_json,
-            }
-            text = json.dumps(envelope)
-            final = self.path / f"{_RECORD_PREFIX}{seq:08d}{_RECORD_SUFFIX}"
-            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, final)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self._fsync_dir()
+            data = encode_envelope(CHECKPOINT_SCHEMA, payload, seq=seq,
+                                   kind=kind)
+            final = self.path / f"ckpt-{seq:08d}.json"
+            publish(final, data)
             self._prune()
         if observer.enabled:
             observer.count("checkpoint.writes")
-            observer.count("checkpoint.bytes", len(text))
+            observer.count("checkpoint.bytes", len(data))
         return CheckpointRecord(seq=seq, kind=kind, payload=payload,
                                 path=final)
 
-    def _fsync_dir(self) -> None:
-        # Make the rename itself durable; best-effort (not all platforms
-        # allow opening a directory).
-        try:
-            dir_fd = os.open(self.path, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
-
     def _prune(self) -> None:
         # Two resuming workers may share one store; whoever prunes
-        # second finds the stale record already gone. missing_ok (plus
-        # the OSError net for everything else) makes that a no-op
-        # instead of a crash.
-        paths = self.record_paths()
-        for stale in paths[:-self.keep] if self.keep else paths:
-            try:
-                stale.unlink(missing_ok=True)
-            except OSError:
-                pass
+        # second finds the stale record already gone, which _unlink
+        # makes a no-op instead of a crash.
+        _unlink(self.record_paths()[:-self.keep])
 
     # -- read --------------------------------------------------------------
     def _load(self, path: Path) -> CheckpointRecord | None:
@@ -247,23 +211,10 @@ class CheckpointStore:
         :data:`_VANISHED` when the file disappeared between listing and
         reading (a concurrent worker's prune — not corruption)."""
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            envelope, payload = read_envelope(path, CHECKPOINT_SCHEMA)
         except FileNotFoundError:
             return _VANISHED
-        except (OSError, ValueError):
-            return None
-        if not isinstance(envelope, dict) \
-                or envelope.get("schema") != CHECKPOINT_SCHEMA:
-            return None
-        payload_json = envelope.get("payload")
-        if not isinstance(payload_json, str):
-            return None
-        digest = hashlib.sha256(payload_json.encode()).hexdigest()
-        if digest != envelope.get("sha256"):
-            return None
-        try:
-            payload = json.loads(payload_json)
-        except ValueError:
+        except (OSError, IntegrityError):
             return None
         return CheckpointRecord(seq=int(envelope.get("seq", 0)),
                                 kind=str(envelope.get("kind", "")),
@@ -300,14 +251,16 @@ class CheckpointStore:
 
     def clear(self) -> None:
         """Delete every record (a finished job's store can be reused)."""
-        for path in self.record_paths():
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        _unlink(self.record_paths())
 
     def __repr__(self) -> str:
         return f"CheckpointStore({str(self.path)!r}, records={len(self)})"
+
+
+def _unlink(paths) -> None:
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink()
 
 
 def resolve_checkpoint_store(store, *, observer=None) -> CheckpointStore | None:
@@ -345,8 +298,10 @@ def resolve_checkpoint_store(store, *, observer=None) -> CheckpointStore | None:
 # It only raises :class:`ShutdownRequested`, so every ``with lock:`` on
 # the way out releases its lock, and the guard flushes on exit. With no
 # main-thread guard open (hooks registered directly, or only by loops on
-# worker threads), the handler flushes inline, as nothing on the main
-# thread would catch the exception.
+# worker threads), the handler flushes itself, as nothing on the main
+# thread would catch the exception; the main thread may still hold a
+# lock a hook needs, so each hook runs on a helper thread, skipped after
+# ``_INLINE_FLUSH_TIMEOUT`` seconds (``checkpoint.flush_skipped``).
 
 _FLUSH_LOCK = threading.Lock()
 _FLUSH_HOOKS: dict[int, object] = {}
@@ -355,6 +310,7 @@ _PREVIOUS_HANDLERS: dict[int, object] = {}
 _SHUTDOWN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 _SHUTTING_DOWN = False
 _GUARD_DEPTH = 0  # main-thread flush_on_shutdown guards currently open
+_INLINE_FLUSH_TIMEOUT = 5.0  # seconds per hook flushed by the handler
 
 
 class ShutdownRequested(BaseException):
@@ -374,14 +330,32 @@ class ShutdownRequested(BaseException):
         self.frame = frame
 
 
-def _run_flush_hooks() -> None:
-    for hook in list(_FLUSH_HOOKS.values()):
+def _run_hook(hook, timeout: float | None) -> bool:
+    """Run one hook; with ``timeout``, on a daemon helper thread that is
+    abandoned after ``timeout`` seconds. Returns whether it finished."""
+    def call():
         try:
             hook()
         except Exception:
             # A failing flush must not mask the shutdown (or prevent the
             # remaining hooks from flushing their own checkpoints).
             pass
+
+    if timeout is None:
+        call()
+        return True
+    helper = threading.Thread(target=call, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    return not helper.is_alive()
+
+
+def _run_flush_hooks(timeout: float | None = None) -> None:
+    skipped = sum(not _run_hook(hook, timeout)
+                  for hook in list(_FLUSH_HOOKS.values()))
+    if skipped:  # the main thread may hold the registry's lock too
+        _run_hook(lambda: global_registry().inc("checkpoint.flush_skipped",
+                                                skipped), timeout)
 
 
 def _shutdown_handler(signum, frame) -> None:
@@ -392,17 +366,18 @@ def _shutdown_handler(signum, frame) -> None:
         return
     if _GUARD_DEPTH:
         raise ShutdownRequested(signum, frame)
-    _shut_down(signum, frame)
+    _shut_down(signum, frame, flush_timeout=_INLINE_FLUSH_TIMEOUT)
 
 
-def _shut_down(signum: int, frame) -> None:
+def _shut_down(signum: int, frame, *,
+               flush_timeout: float | None = None) -> None:
     """Flush checkpoints, release pools, then honour the signal."""
     global _SHUTTING_DOWN
     from repro.runtime.runtime import close_all_runtimes
 
     _SHUTTING_DOWN = True  # a repeated signal must not interrupt the flush
     try:
-        _run_flush_hooks()
+        _run_flush_hooks(flush_timeout)
         # Pools after checkpoints: the flush above must never race
         # teardown.
         close_all_runtimes(wait=False)
