@@ -22,8 +22,9 @@ X_train, y_train, X_valid, y_valid, metric)`` game:
 The registry covers the whole ``repro.ml`` model zoo:
 
 - :class:`KNNCoalitionKernel` — precomputed ``n_valid x n_train``
-  distance matrix, masked top-k coalition evaluation, O(k·n_valid)
-  insertion walks, and the Jia et al. closed-form Shapley recurrence.
+  distance ranks, masked top-k coalition evaluation, permutation walks
+  vectorized over blocks of prefix steps, and the Jia et al.
+  closed-form Shapley recurrence.
 - :class:`GaussianNBCoalitionKernel` — per-class running sufficient
   statistics; adding one row to a coalition is an O(d) update.
 - :class:`LinearRegressionCoalitionKernel` — maintains the inverse
@@ -62,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exceptions import ValidationError
-from repro.importance.knn_shapley import knn_shapley_core
+from repro.importance.knn_shapley import knn_shapley_sorted
 from repro.ml.compose import Pipeline
 from repro.ml.ensemble import RandomForestClassifier
 from repro.ml.linear import (
@@ -74,6 +75,7 @@ from repro.ml.linear import (
     _ridge_theta,
     _svc_problem,
 )
+from repro.ml.metrics import accuracy_score
 from repro.ml.naive_bayes import GaussianNB
 from repro.ml.neighbors import KNeighborsClassifier, pairwise_distances
 from repro.ml.tree import DecisionTreeClassifier
@@ -139,23 +141,62 @@ def _majority_label(classes: np.ndarray, counts: np.ndarray):
     return classes[np.argmax(counts)]
 
 
+#: Transient budget of one k-NN walk block, in array elements. A block
+#: covers ``_WALK_BLOCK_ELEMENTS // (n_valid * width)`` prefix steps (at
+#: least ``_MIN_WALK_BLOCK``), where ``width`` is the class count of the
+#: vote table for k > 1 and 1 otherwise, so a walk's working set stays
+#: O(k·n_valid·block) whatever the permutation length.
+_WALK_BLOCK_ELEMENTS = 8192
+_MIN_WALK_BLOCK = 16
+#: Walk key of "no j-th neighbour yet" (a prefix shorter than j).
+_NO_NEIGHBOR = np.iinfo(np.int64).max
+
+
+def _dense_ranks(distances: np.ndarray) -> np.ndarray:
+    """Per-row dense rank of ``distances``: equal distances share a rank
+    and ranks order exactly as the distances do."""
+    order = np.argsort(distances, axis=1)
+    rows = np.arange(len(distances))[:, None]
+    ordered = distances[rows, order]
+    dense = np.empty(distances.shape, dtype=np.int64)
+    dense[:, :1] = 0
+    dense[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    np.cumsum(dense, axis=1, out=dense)
+    ranks = np.empty_like(dense)
+    ranks[rows, order] = dense
+    return ranks
+
+
+def _label_matches(y_valid: np.ndarray, classes: np.ndarray):
+    """``matches[c, v] = y_valid[v] == classes[c]`` as accuracy_score
+    compares them, or ``None`` when object labels compare to something
+    other than booleans (the walk then calls the metric per prefix)."""
+    matches = np.asarray(np.asarray(y_valid)[None, :] == classes[:, None])
+    return matches if matches.dtype == bool else None
+
+
 class KNNCoalitionKernel(CoalitionKernel):
-    """Exact k-NN coalition kernel over a precomputed distance matrix.
+    """Exact k-NN coalition kernel over precomputed distance ranks.
 
     Fitting :class:`~repro.ml.neighbors.KNeighborsClassifier` only
     stores the coalition's rows; all prediction work happens in
-    ``kneighbors``. The kernel therefore precomputes the full
-    ``n_valid x n_train`` distance matrix once and evaluates any
-    coalition by selecting each validation point's k nearest members —
-    no refit, no per-coalition ``pairwise_distances``.
+    ``kneighbors``. The kernel therefore computes the full
+    ``n_valid x n_train`` distance matrix once, keeps each validation
+    point's dense distance ranks (equal distances, equal rank), and
+    evaluates any coalition by selecting each validation point's k
+    nearest members — no refit, no per-coalition ``pairwise_distances``.
 
-    Permutation walks go further: each validation point keeps a sorted
-    list of its k best neighbors *within the current prefix*, and adding
-    one training point is a single vectorized insertion (O(k) per
-    validation point) — the per-step cost is independent of the prefix
-    size. The same distance matrix also feeds
-    :meth:`exact_shapley`, the Jia et al. closed-form recurrence
-    (O(n log n) per validation point, no sampling at all).
+    Permutation walks are vectorized over blocks of prefix steps. Step
+    ``p`` of a walk gets the key ``rank * len(permutation) + p`` per
+    validation point — unique, and ordered exactly as the retrain path's
+    stable (distance, position) sort. The j-th nearest neighbour of
+    every prefix in a block is then one running minimum,
+    ``b_j = cummin(max(shift(b_{j-1}), key))``, seeded with the k-best
+    state carried from the previous block; votes are counted on class
+    codes. A truncated walk stops at the block holding the truncation
+    point. The same ranks also feed :meth:`exact_shapley`, the Jia et
+    al. closed-form recurrence (O(n log n) per validation point, no
+    sampling at all).
     """
 
     name = "knn"
@@ -163,11 +204,22 @@ class KNNCoalitionKernel(CoalitionKernel):
     def __init__(self, model: KNeighborsClassifier, X_train, y_train,
                  X_valid, y_valid, metric):
         self.k = int(model.n_neighbors)
-        self.distances = pairwise_distances(X_valid, X_train,
-                                            metric=model.metric)
+        # ranks[i, v]: dense rank of train row i's distance to valid row v;
+        # train-major, so a block of walk steps gathers whole rows.
+        self.ranks = np.ascontiguousarray(_dense_ranks(
+            pairwise_distances(X_valid, X_train, metric=model.metric)).T)
         self.classes, self.encoded = np.unique(y_train, return_inverse=True)
         self.y_valid = y_valid
         self.metric = metric
+        # accuracy_score of a whole block is one row-wise mean over these
+        # (the same bits as one metric call per prefix); any other metric
+        # is called once per prefix.
+        self.matches = (_label_matches(y_valid, self.classes)
+                        if metric is accuracy_score else None)
+
+    def _constant_value(self, code):
+        constant = np.full(len(self.y_valid), self.classes[code])
+        return float(self.metric(self.y_valid, constant))
 
     def evaluate(self, subset, y_sub, classes):
         if self.k > len(subset):
@@ -177,11 +229,11 @@ class KNNCoalitionKernel(CoalitionKernel):
             constant = np.full(len(self.y_valid),
                                _majority_label(sub_classes, counts))
             return float(self.metric(self.y_valid, constant)), 0, True
-        dist = self.distances[:, subset]
+        ranks = self.ranks[subset].T
         # Stable (distance, position-in-subset) order — exactly
         # KNeighborsClassifier.kneighbors on the coalition's rows.
         order = np.lexsort(
-            (np.broadcast_to(np.arange(dist.shape[1]), dist.shape), dist),
+            (np.broadcast_to(np.arange(ranks.shape[1]), ranks.shape), ranks),
             axis=1)[:, : self.k]
         neighbor_codes = self.encoded[subset][order]
         present_codes = np.searchsorted(self.classes, classes)
@@ -190,61 +242,103 @@ class KNNCoalitionKernel(CoalitionKernel):
         predictions = classes[np.argmax(votes, axis=1)]
         return float(self.metric(self.y_valid, predictions)), 1, True
 
-    def walk_steps(self, permutation):
-        k = self.k
-        n_valid = len(self.y_valid)
-        # Per-validation-point best-k lists over the current prefix,
-        # padded with +inf; `codes` holds the neighbors' encoded labels.
-        best_dist = np.full((n_valid, k), np.inf)
-        best_code = np.zeros((n_valid, k), dtype=np.intp)
-        counts = np.zeros(len(self.classes), dtype=np.intp)
-        column = np.arange(k)
-        for pos, player in enumerate(permutation):
-            d = self.distances[:, player]
-            code = self.encoded[player]
-            # Stable insertion: after all entries with distance <= d,
-            # matching lexsort's position tie-break.
-            at = (best_dist <= d[:, None]).sum(axis=1)[:, None]
-            inserted = at < k
-            rolled_dist = np.empty_like(best_dist)
-            rolled_dist[:, 1:] = best_dist[:, :-1]
-            rolled_code = np.empty_like(best_code)
-            rolled_code[:, 1:] = best_code[:, :-1]
-            rolled_dist[:, 0] = np.inf
-            rolled_code[:, 0] = 0
-            new_dist = np.where(column < at, best_dist,
-                                np.where(column == at, d[:, None],
-                                         rolled_dist))
-            new_code = np.where(column < at, best_code,
-                                np.where(column == at, code, rolled_code))
-            best_dist = np.where(inserted, new_dist, best_dist)
-            best_code = np.where(inserted, new_code, best_code)
-            counts[code] += 1
+    def _predict_block(self, keys, best, step_codes):
+        """Predicted class codes (steps x n_valid) of every prefix in one
+        block, from the block's walk keys; advances ``best`` (the j-th
+        best key per validation point, carried between blocks) in place.
 
-            present = np.flatnonzero(counts)
-            if len(present) < 2:
-                constant = np.full(n_valid, self.classes[present[0]])
-                yield float(self.metric(self.y_valid, constant)), 0, True
-            elif pos + 1 < k:
-                majority = _majority_label(self.classes[present],
-                                           counts[present])
-                constant = np.full(n_valid, majority)
-                yield float(self.metric(self.y_valid, constant)), 0, True
+        Rows of prefixes shorter than k hold arbitrary codes: their
+        sentinel keys still index a valid step. The walk never reads them.
+        """
+        n_steps = len(step_codes)
+        n_block, n_valid = keys.shape
+        votes = (np.zeros((len(self.classes), n_block, n_valid),
+                          dtype=np.int64) if self.k > 1 else None)
+        rows = np.arange(n_block)[:, None]
+        columns = np.arange(n_valid)
+        previous = None
+        for j in range(self.k):
+            if j == 0:
+                current = keys.copy()
             else:
-                votes = (best_code[:, :, None]
-                         == present[None, None, :]).sum(axis=1)
-                predictions = self.classes[present[np.argmax(votes, axis=1)]]
-                yield float(self.metric(self.y_valid, predictions)), 1, True
+                current = np.empty_like(keys)
+                current[0] = best[j - 1]
+                current[1:] = previous[:-1]
+                np.maximum(current, keys, out=current)
+                best[j - 1] = previous[-1]
+            np.minimum.accumulate(current, axis=0, out=current)
+            np.minimum(current, best[j], out=current)
+            previous = current
+            neighbor = step_codes[current % n_steps]
+            if votes is not None:
+                votes[neighbor, rows, columns] += 1
+        best[-1] = previous[-1]
+        return neighbor if votes is None else votes.argmax(axis=0)
+
+    def walk_steps(self, permutation):
+        permutation = np.asarray(permutation)
+        k = self.k
+        n_steps = len(permutation)
+        n_valid = len(self.y_valid)
+        n_classes = len(self.classes)
+        step_codes = self.encoded[permutation]
+        block = max(_MIN_WALK_BLOCK, _WALK_BLOCK_ELEMENTS // max(
+            1, n_valid * (n_classes if k > 1 else 1)))
+        columns = np.arange(n_valid)
+        # Carried from block to block: each validation point's j-th best
+        # key over the prefix so far, and the prefix's class counts.
+        best = np.full((k, n_valid), _NO_NEIGHBOR, dtype=np.int64)
+        counts = np.zeros(n_classes, dtype=np.int64)
+        constants: dict[int, float] = {}
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            steps = np.arange(start, stop)
+            prefix_counts = counts + np.cumsum(
+                step_codes[start:stop, None] == np.arange(n_classes), axis=0)
+            counts = prefix_counts[-1]
+            # Single-class prefixes and prefixes shorter than k are the
+            # retrain path's constant predictor of the first-max class.
+            trained = (((prefix_counts > 0).sum(axis=1) >= 2)
+                       & (steps + 1 >= k))
+            constant = prefix_counts.argmax(axis=1)
+
+            values = None
+            if k <= n_steps:  # otherwise no prefix is ever trained
+                keys = self.ranks[permutation[start:stop]]
+                keys *= n_steps
+                keys += steps[:, None]
+                predicted = self._predict_block(keys, best, step_codes)
+                if self.matches is not None:
+                    values = self.matches[predicted, columns].mean(
+                        axis=1).tolist()
+            for i, is_trained in enumerate(trained.tolist()):
+                if not is_trained:
+                    code = int(constant[i])
+                    if code not in constants:
+                        constants[code] = self._constant_value(code)
+                    yield constants[code], 0, True
+                elif values is not None:
+                    yield values[i], 1, True
+                else:
+                    predictions = self.classes[predicted[i]]
+                    yield (float(self.metric(self.y_valid, predictions)),
+                           1, True)
 
     def exact_shapley(self):
-        """Closed-form KNN-Shapley values over the precomputed distances
-        (Jia et al., paper ref [33]); ``None`` when ``k`` exceeds the
-        training-set size (no full-data model exists to anchor them)."""
-        if self.k > self.distances.shape[1]:
+        """Closed-form KNN-Shapley values over the precomputed distance
+        ranks (Jia et al., paper ref [33]); ``None`` when ``k`` exceeds
+        the training-set size (no full-data model exists to anchor
+        them)."""
+        n = self.ranks.shape[0]
+        if self.k > n:
             return None
-        return knn_shapley_core(self.distances,
-                                self.classes[self.encoded],
-                                self.y_valid, self.k)
+        # A stable sort of the ranks is the (distance, position) order;
+        # ranks below 2**16 take numpy's radix sort.
+        dtype = np.uint16 if n <= 1 << 16 else np.int64
+        orders = (np.argsort(column.astype(dtype), kind="stable")
+                  for column in self.ranks.T)
+        return knn_shapley_sorted(orders, self.classes[self.encoded],
+                                  self.y_valid, self.k, n)
 
 
 class GaussianNBCoalitionKernel(CoalitionKernel):

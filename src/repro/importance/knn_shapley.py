@@ -61,26 +61,36 @@ def knn_shapley_core(distances, y_train, y_valid, k: int) -> np.ndarray:
     """The closed-form recursion over a precomputed distance matrix.
 
     ``distances`` is the ``n_valid x n_train`` matrix the public
-    :func:`knn_shapley` computes for you; the incremental KNN coalition
-    kernel (:class:`repro.importance.kernels.KNNCoalitionKernel`) already
-    holds one and calls this directly, so the exact-Shapley dispatch in
-    :class:`~repro.importance.MonteCarloShapley` pays no second distance
-    pass. Sorting ties break by training position, matching the
-    kernel's (distance, position) order.
+    :func:`knn_shapley` computes for you. Sorting ties break by training
+    position, matching the incremental KNN coalition kernel's
+    (distance, position) order; the kernel
+    (:class:`repro.importance.kernels.KNNCoalitionKernel`) feeds the
+    same recursion from the distance ranks it already holds, so the
+    exact-Shapley dispatch in :class:`~repro.importance.MonteCarloShapley`
+    pays no second distance pass.
     """
     distances = np.asarray(distances, dtype=float)
+    positions = np.arange(distances.shape[1])
+    return knn_shapley_sorted(
+        (np.lexsort((positions, row)) for row in distances),
+        y_train, y_valid, k, distances.shape[1])
+
+
+def knn_shapley_sorted(orders, y_train, y_valid, k: int,
+                       n: int) -> np.ndarray:
+    """The recursion given, per validation point, the ``n`` training
+    positions in (distance, position) order — one array per entry of
+    ``y_valid``, from any iterable."""
     y_train = np.asarray(y_train)
     y_valid = np.asarray(y_valid)
-    n = distances.shape[1]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
     values = np.zeros(n)
     js = np.arange(1, n)  # positions 1..n-1 (0-indexed sorted order)
     position_factor = np.minimum(k, js) / js
 
-    for v in range(len(y_valid)):
-        order = np.lexsort((np.arange(n), distances[v]))
-        matches = (y_train[order] == y_valid[v]).astype(float)
+    for order, label in zip(orders, y_valid):
+        matches = (y_train[order] == label).astype(float)
         s = np.empty(n)
         s[n - 1] = matches[n - 1] / n
         # Vectorized backward recursion via reversed cumulative sum.

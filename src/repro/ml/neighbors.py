@@ -52,6 +52,38 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str = "euclidean") 
     raise ValidationError(f"unknown metric {metric!r}")
 
 
+def _stable_order(dist: np.ndarray) -> np.ndarray:
+    """Per-row column order by (distance, column index)."""
+    return np.lexsort(
+        (np.broadcast_to(np.arange(dist.shape[1]), dist.shape), dist), axis=1)
+
+
+def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` columns of :func:`_stable_order` per row, without
+    sorting whole rows.
+
+    A row whose k-th smallest distance bounds exactly ``k`` entries has
+    its k nearest fixed as a set; only those are ordered (a stable sort,
+    so equal distances keep index order). Rows with a tie across the
+    k-th place take the full stable sort.
+    """
+    n_rows, n_cols = dist.shape
+    if not 0 < k < n_cols:
+        return _stable_order(dist)[:, :k]
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    near = dist <= kth
+    tied = np.count_nonzero(near, axis=1) != k
+    clear = ~tied
+    cols = np.nonzero(near[clear])[1].reshape(-1, k)
+    rows = np.flatnonzero(clear)[:, None]
+    out = np.empty((n_rows, k), dtype=np.intp)
+    out[clear] = np.take_along_axis(
+        cols, np.argsort(dist[rows, cols], axis=1, kind="stable"), axis=1)
+    if tied.any():
+        out[tied] = _stable_order(dist[tied])[:, :k]
+    return out
+
+
 class KNeighborsClassifier(BaseEstimator):
     """Majority-vote k-NN classifier.
 
@@ -108,9 +140,7 @@ class KNeighborsClassifier(BaseEstimator):
         X = check_array(X)
         k = n_neighbors or self.n_neighbors
         dist = pairwise_distances(X, self._X, metric=self.metric)
-        order = np.lexsort(
-            (np.broadcast_to(np.arange(dist.shape[1]), dist.shape), dist), axis=1
-        )[:, :k]
+        order = _k_nearest(dist, k)
         rows = np.arange(len(X))[:, None]
         return dist[rows, order], order
 

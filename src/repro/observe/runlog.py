@@ -33,6 +33,11 @@ __all__ = ["RunLog", "diff_runs", "jsonable"]
 VOLATILE_FIELDS = ("seq", "ts", "run_id", "wall_seconds", "cpu_seconds")
 
 
+#: Types :func:`jsonable` returns unchanged (exact types: subclasses
+#: such as ``np.float64`` still go through the conversions).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays and paths to JSON types."""
     if isinstance(obj, (np.bool_,)):
@@ -42,8 +47,12 @@ def jsonable(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":  # tolist() yields JSON scalars
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
+        if all(type(v) in _JSON_SCALARS for v in obj):
+            return list(obj)
         return [jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}

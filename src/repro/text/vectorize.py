@@ -4,6 +4,7 @@ embeddings (the SentenceBERT stand-in)."""
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -36,6 +37,17 @@ _gram_hash_cache: dict[tuple, np.ndarray] = {}
 # wholesale when the cap would be exceeded.
 _ROW_CACHE_LIMIT = 4096
 _row_cache: dict[tuple, np.ndarray] = {}
+
+
+# Memo of per-text vocabulary column arrays, one per fitted TfidfVectorizer
+# (weakly keyed, so it goes with the vectorizer) and tagged with the
+# vocabulary object and stopword setting it was built for: a refit or a
+# different vocabulary starts a fresh memo. Re-encoding the same frame --
+# one cleaning round after another -- then skips tokenization. Stores
+# integer arrays, never token strings. Bounded per vectorizer: cleared
+# wholesale at the cap.
+_TFIDF_CACHE_LIMIT = 4096
+_tfidf_columns_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _gram_hashes(text: str, ngram_range: tuple[int, int],
@@ -179,15 +191,46 @@ class TfidfVectorizer(BaseEstimator, TransformerMixin):
         ])
         return self
 
+    def _columns_memo(self) -> dict[str, np.ndarray]:
+        vocabulary, drop_stopwords, memo = _tfidf_columns_cache.get(
+            self, (None, None, None))
+        if (vocabulary is not self.vocabulary_
+                or drop_stopwords != self.drop_stopwords):
+            memo = {}
+            _tfidf_columns_cache[self] = (self.vocabulary_,
+                                          self.drop_stopwords, memo)
+        return memo
+
+    def _columns(self, text: str, memo: dict) -> np.ndarray:
+        cols = memo.get(text)
+        if cols is None:
+            vocabulary = self.vocabulary_
+            cols = np.array(
+                [vocabulary[token]
+                 for token in tokenize(text,
+                                       drop_stopwords=self.drop_stopwords)
+                 if token in vocabulary], dtype=np.intp)
+            if len(memo) >= _TFIDF_CACHE_LIMIT:
+                memo.clear()
+            memo[text] = cols
+        return cols
+
     def transform(self, X) -> np.ndarray:
         check_fitted(self)
         texts = _as_texts(X)
-        out = np.zeros((len(texts), len(self.vocabulary_)))
-        for row, text in enumerate(texts):
-            for token in tokenize(text, drop_stopwords=self.drop_stopwords):
-                col = self.vocabulary_.get(token)
-                if col is not None:
-                    out[row, col] += 1.0
+        width = len(self.vocabulary_)
+        memo = self._columns_memo()
+        rows = [self._columns(text, memo) for text in texts]
+        lengths = np.array([len(r) for r in rows], dtype=np.intp)
+        if lengths.sum() == 0:
+            out = np.zeros((len(texts), width))
+        else:
+            # Term counts are sums of 1.0, exact in any order.
+            flat = (np.repeat(np.arange(len(texts), dtype=np.intp), lengths)
+                    * width + np.concatenate(rows))
+            out = np.bincount(flat, weights=np.ones(len(flat)),
+                              minlength=len(texts) * width
+                              ).reshape(len(texts), width)
         out *= self.idf_
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         return out / np.maximum(norms, 1e-12)

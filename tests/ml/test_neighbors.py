@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import ValidationError
 from repro.ml import KNeighborsClassifier
-from repro.ml.neighbors import pairwise_distances
+from repro.ml.neighbors import _k_nearest, _stable_order, pairwise_distances
 
 
 class TestPairwiseDistances:
@@ -118,3 +120,24 @@ class TestPartialFit:
         with pytest.raises(ValidationError):
             model.partial_fit(rng.standard_normal((4, 3)),
                               np.array([0, 1, 0, 1]))
+
+
+class TestKNearest:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 14),
+           st.integers(0, 2**16), st.sampled_from([2, 4, 1000]))
+    def test_matches_stable_full_sort(self, n_rows, n_cols, k, seed, levels):
+        """Tie-heavy distances (few levels) exercise the fallback rows;
+        many levels exercise the partition path."""
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(0, levels, size=(n_rows, n_cols)) / 4.0
+        np.testing.assert_array_equal(_k_nearest(dist, k),
+                                      _stable_order(dist)[:, :k])
+
+    def test_kneighbors_breaks_ties_by_training_index(self):
+        X = np.array([[0.0], [2.0], [-2.0], [1.0], [-1.0]])
+        model = KNeighborsClassifier(3).fit(X, [0, 1, 0, 1, 0])
+        distances, indices = model.kneighbors(np.array([[0.0], [1.5]]))
+        np.testing.assert_array_equal(indices, [[0, 3, 4], [1, 3, 0]])
+        np.testing.assert_array_equal(distances,
+                                      [[0.0, 1.0, 1.0], [0.5, 0.5, 1.5]])

@@ -26,6 +26,33 @@ def test_jsonable_converts_numpy_types():
     json.dumps(out)  # must be JSON-serializable
 
 
+def test_jsonable_returns_exact_json_types_only():
+    out = jsonable({
+        "plain": ["a", 1, 2.5, True, None],
+        "mixed": ["a", np.int64(4), (np.float64(0.5), np.bool_(False))],
+        "floats": np.array([[0.5, 1.0]], dtype=np.float32),
+        "bools": np.array([True, False]),
+        "objects": np.array([np.int64(2), "x"], dtype=object),
+    })
+    assert out == {"plain": ["a", 1, 2.5, True, None],
+                   "mixed": ["a", 4, [0.5, False]],
+                   "floats": [[0.5, 1.0]], "bools": [True, False],
+                   "objects": [2, "x"]}
+
+    def types(value):
+        if isinstance(value, list):
+            return [types(v) for v in value]
+        if isinstance(value, dict):
+            return {k: types(v) for k, v in value.items()}
+        return type(value)
+
+    assert types(out) == {
+        "plain": [str, int, float, bool, type(None)],
+        "mixed": [str, int, [float, bool]],
+        "floats": [[float, float]], "bools": [bool, bool],
+        "objects": [int, str]}
+
+
 def test_jsonl_write_through_and_round_trip(tmp_path):
     path = tmp_path / "runs" / "log.jsonl"
     log = RunLog(path, run_id="rt")

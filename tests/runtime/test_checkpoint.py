@@ -396,7 +396,7 @@ class SlowModel(LogisticRegression):
     wrapper) so the fingerprint is stable across driver invocations."""
 
     def fit(self, X, y):
-        time.sleep(0.03)
+        time.sleep(0.05)
         return super().fit(X, y)
 
 
@@ -404,8 +404,10 @@ def build_utility(backend, faults=None):
     X, y = make_blobs(48, n_features=3, centers=2, seed=7)
     runtime = Runtime(backend=backend, cache=FingerprintCache(),
                       faults=faults)
+    # The retrain path: LogisticRegression's warm-start kernel would
+    # answer every coalition without calling the slowed fit.
     return Utility(SlowModel(max_iter=40), X[:32], y[:32], X[32:], y[32:],
-                   runtime=runtime)
+                   runtime=runtime, kernel="off")
 
 
 def main():
@@ -492,6 +494,11 @@ class TestKillAndResume:
                 process.wait()
         assert process.returncode != 0
         assert not (tmp_path / "never.json").exists()
+        # The signal landed mid-run: the last durable record is short of
+        # the 10 permutations the killed run was asked for.
+        record = CheckpointStore(store_dir).load_latest()
+        assert record is not None
+        assert record.payload["completed"] < 10
         return store_dir
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
