@@ -301,7 +301,8 @@ def resolve_checkpoint_store(store, *, observer=None) -> CheckpointStore | None:
 # worker threads), the handler flushes itself, as nothing on the main
 # thread would catch the exception; the main thread may still hold a
 # lock a hook needs, so each hook runs on a helper thread, skipped after
-# ``_INLINE_FLUSH_TIMEOUT`` seconds (``checkpoint.flush_skipped``).
+# ``_INLINE_FLUSH_TIMEOUT`` seconds (``checkpoint.flush_skipped``). Pool
+# teardown is bounded the same way.
 
 _FLUSH_LOCK = threading.Lock()
 _FLUSH_HOOKS: dict[int, object] = {}
@@ -379,8 +380,9 @@ def _shut_down(signum: int, frame, *,
     try:
         _run_flush_hooks(flush_timeout)
         # Pools after checkpoints: the flush above must never race
-        # teardown.
-        close_all_runtimes(wait=False)
+        # teardown. Bounded like a hook: the interrupted main thread may
+        # hold a pool's own lock (``pool.submit`` does while it runs).
+        _run_hook(lambda: close_all_runtimes(wait=False), flush_timeout)
         previous = _PREVIOUS_HANDLERS.get(signum, signal.SIG_DFL)
         _uninstall_handlers()
     finally:

@@ -9,8 +9,10 @@ contract:
   when the work releases the GIL (numpy linear algebra).
 - ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
   multi-core scaling. ``shared`` (typically the training arrays + model
-  prototype) is pickled **once** and installed in every worker by the
-  pool initializer, so per-task IPC carries only the small task payloads.
+  prototype) is pickled **once** per ``map`` call into a spill file that
+  each worker loads on first use and keeps in a small cache keyed by the
+  payload's digest, so per-chunk IPC carries only the small task
+  payloads.
 
 Because backends only change *where* ``fn`` runs — never the task list,
 the task order, or any random stream — results are backend-invariant:
@@ -35,12 +37,14 @@ import hashlib
 import math
 import os
 import pickle
+import tempfile
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    CancelledError,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -220,8 +224,14 @@ class SerialExecutor(Executor):
 
 
 class _PooledExecutor(Executor):
-    """Shared chunk-collection and fault-recovery logic for the thread
-    and process backends.
+    """Pool lifecycle, chunk collection and fault recovery shared by the
+    thread and process backends.
+
+    Each executor owns exactly one pool, built lazily on first
+    submission and shared by every concurrent :meth:`map` caller (a
+    serving tier runs many jobs over one executor). Building,
+    discarding and closing it are serialized by one lock. A backend
+    adds only :meth:`_new_pool` and :meth:`_submit`.
 
     The collection loop is a small per-chunk state machine: every chunk
     is submitted as one future; a task exception or timeout consumes one
@@ -230,6 +240,14 @@ class _PooledExecutor(Executor):
     ``on_worker_failure`` strategy; and an exhausted budget raises
     :class:`TaskError` *after draining the pool*, so no zombie chunk is
     still running when the exception reaches the caller.
+
+    Because the pool is shared, a dead worker (or a stuck one killed on
+    timeout) breaks the in-flight chunks of *every* concurrent caller.
+    Each caller recovers its own lost chunks through the same
+    broken-pool path, so such a collateral crash counts against that
+    caller's ``max_worker_crashes`` too. Discarding a pool is a
+    compare-and-swap on the pool the failed chunk ran in: a late caller
+    never tears down a pool another caller has already rebuilt.
     """
 
     #: True when a stuck worker can be killed on timeout (process pools);
@@ -237,16 +255,56 @@ class _PooledExecutor(Executor):
     #: abandoned instead.
     _kills_stuck_workers = False
 
-    def _submit(self, fn, shared, chunk):
-        """Submit one chunk to the (lazily built) pool; returns a future."""
+    def __init__(self, max_workers: int | None = None):
+        super().__init__(max_workers)
+        self._pool = None
+        self._pool_lock = threading.RLock()
+
+    @property
+    def effective_workers(self) -> int:
+        return self.max_workers or _available_cpus()
+
+    def _new_pool(self):
+        """Build a fresh pool of :attr:`effective_workers` workers."""
         raise NotImplementedError
 
-    def _discard_pool(self) -> None:
-        """Drop the current pool so the next submission builds a fresh one."""
+    def _submit(self, pool, fn, shipped, chunk):
+        """Submit one chunk to ``pool``; returns a future. ``shipped``
+        is what the backend sends in place of ``shared``."""
         raise NotImplementedError
 
-    def _terminate_workers(self) -> None:
-        """Forcibly stop pool workers (process backend only)."""
+    def _ensure_pool(self):
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = self._new_pool()
+            return self._pool
+
+    def _discard_pool(self, pool) -> None:
+        """Drop ``pool`` so the next submission builds a fresh one — a
+        no-op when another caller (or :meth:`close`) got there first."""
+        with self._pool_lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # a broken pool may refuse even shutdown
+            pass
+
+    def close(self, wait: bool = True) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        workers = _worker_processes(pool)  # shutdown forgets them
+        try:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
+        except Exception:  # interpreter/pool teardown already underway
+            pass
+        if not wait:
+            # Abandoned chunks' workers are stopped too: the caller
+            # is about to exit, and none of them may outlive it.
+            _terminate(workers)
 
     def _drain(self, pending) -> None:
         for future in pending:
@@ -256,26 +314,28 @@ class _PooledExecutor(Executor):
             wait(running, timeout=_DRAIN_TIMEOUT)
 
     def _run_chunks(self, fn, shared, chunks, n_tasks, progress, cancel,
-                    stage, policy, fault_hook) -> list:
+                    stage, policy, fault_hook, shipped=_UNSET) -> list:
+        if shipped is _UNSET:
+            shipped = shared
         started = time.perf_counter()
         results: list = [_UNSET] * len(chunks)
         attempts = [0] * len(chunks)
         crashes = 0
         completed_tasks = 0
         pending: set = set()
-        chunk_of: dict = {}
+        chunk_of: dict = {}  # future -> (chunk index, the pool it ran in)
         deadline_of: dict = {}
         live: set = set()  # chunk indices with an active future
 
-        def forget(future) -> int:
+        def forget(future) -> tuple:
             pending.discard(future)
             deadline_of.pop(future, None)
-            idx = chunk_of.pop(future)
+            idx, pool = chunk_of.pop(future)
             live.discard(idx)
-            return idx
+            return idx, pool
 
         def forget_all() -> list:
-            lost = sorted(chunk_of.values())
+            lost = sorted(idx for idx, _ in chunk_of.values())
             pending.clear()
             chunk_of.clear()
             deadline_of.clear()
@@ -285,15 +345,17 @@ class _PooledExecutor(Executor):
         def submit(idx: int) -> None:
             if idx in live:
                 return  # already resubmitted by a nested recovery
+            pool = self._ensure_pool()
             try:
-                future = self._submit(fn, shared, chunks[idx])
-            except BrokenExecutor as error:
-                # The pool died between our noticing and this submission;
-                # recover (or raise) through the same path as a broken
-                # future. Recursion is bounded by max_worker_crashes.
-                pool_failure(idx, error)
+                future = self._submit(pool, fn, shipped, chunks[idx])
+            except RuntimeError as error:
+                # The pool broke, or another caller discarded it, between
+                # our fetching and this submission; recover (or raise)
+                # through the same path as a broken future. Recursion is
+                # bounded by max_worker_crashes.
+                pool_failure(idx, error, pool)
                 return
-            chunk_of[future] = idx
+            chunk_of[future] = idx, pool
             pending.add(future)
             live.add(idx)
             if policy.timeout is not None:
@@ -333,13 +395,13 @@ class _PooledExecutor(Executor):
             backoff_wait(policy.backoff * attempts[idx], cancel, stage)
             submit(idx)
 
-        def pool_failure(idx: int, error: BaseException) -> None:
+        def pool_failure(idx: int, error: BaseException, pool) -> None:
             # The pool itself died: every in-flight chunk is lost, not
             # just the one whose future surfaced the break.
             nonlocal crashes
             crashes += 1
             forget_all()
-            self._discard_pool()
+            self._discard_pool(pool)
             self._emit_fault(fault_hook, "worker_crash", stage, idx,
                              attempts[idx], error, started)
             if policy.on_worker_failure == "raise" \
@@ -377,16 +439,17 @@ class _PooledExecutor(Executor):
             for future in expired:
                 if future not in chunk_of:
                     continue
-                idx = forget(future)
+                idx, pool = forget(future)
                 error = TimeoutError(
                     f"chunk {idx} exceeded the per-chunk timeout of "
                     f"{policy.timeout:g}s")
                 if not future.cancel() and self._kills_stuck_workers:
                     # Running in a worker we can only stop by killing the
                     # pool; sibling in-flight chunks are collateral and
-                    # get resubmitted without consuming their budgets.
-                    self._terminate_workers()
-                    self._discard_pool()
+                    # get resubmitted without consuming their budgets
+                    # (other callers' chunks recover as a pool failure).
+                    _terminate(_worker_processes(pool))
+                    self._discard_pool(pool)
                     lost = forget_all()
                     task_failure(idx, error)  # raises when budget exhausted
                     for sibling in lost:
@@ -403,16 +466,21 @@ class _PooledExecutor(Executor):
             while pending:
                 done, _ = wait(pending, timeout=0.1,
                                return_when=FIRST_COMPLETED)
+                # wait() never reports a future that a pool shutdown
+                # cancelled (another caller's discard, or close()).
+                done |= {future for future in pending if future.cancelled()}
                 for future in done:
                     if future not in chunk_of:
                         continue  # forgotten by a pool failure/timeout
-                    idx = forget(future)
+                    idx, pool = forget(future)
                     try:
                         chunk_results = future.result()
                     except JobCancelled:
                         raise
-                    except BrokenExecutor as error:
-                        pool_failure(idx, error)
+                    except (BrokenExecutor, CancelledError) as error:
+                        # Cancelled by another caller's discard of the
+                        # shared pool (our own cancels are forgotten).
+                        pool_failure(idx, error, pool)
                     except Exception as error:
                         task_failure(idx, error)
                     else:
@@ -441,213 +509,100 @@ def _run_chunk_with_shared(fn, shared, chunk):
 
 class ThreadExecutor(_PooledExecutor):
     """Thread-pool backend; ``shared`` is passed by reference (same
-    process), so it must be treated as read-only by ``fn``.
-
-    Safe under concurrent :meth:`map` callers (a serving tier runs many
-    jobs over one executor): pool construction, discard, and close are
-    serialized by a lock, so two racing callers share one pool instead
-    of leaking a second one.
-    """
+    process), so it must be treated as read-only by ``fn``."""
 
     name = "thread"
 
-    def __init__(self, max_workers: int | None = None):
-        super().__init__(max_workers)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.RLock()
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=self.effective_workers)
 
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers or _available_cpus()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.effective_workers)
-            return self._pool
-
-    def _submit(self, fn, shared, chunk):
-        return self._ensure_pool().submit(_run_chunk_with_shared, fn, shared,
-                                          chunk)
-
-    def _discard_pool(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self, wait: bool = True) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=wait, cancel_futures=not wait)
-            except Exception:  # interpreter/pool teardown already underway
-                pass
+    def _submit(self, pool, fn, shipped, chunk):
+        return pool.submit(_run_chunk_with_shared, fn, shipped, chunk)
 
 
 # --- process backend -------------------------------------------------------
-# The shared object is installed once per worker via the pool initializer;
-# chunk submissions then reference it through this module-level slot. This
-# keeps per-chunk IPC proportional to the chunk, not the dataset.
-_WORKER_SHARED = None
+#: Unpickled ``shared`` payloads each worker keeps, keyed by the digest
+#: of their pickled bytes (least recently used first): enough for a few
+#: concurrent callers or alternating rounds to hit, few enough to bound
+#: a worker's memory.
+_WORKER_SHARED_SLOTS = 4
+_WORKER_SHARED: "OrderedDict[str, object]" = OrderedDict()
 
 
-def _install_shared(payload: bytes) -> None:
-    global _WORKER_SHARED
-    _WORKER_SHARED = pickle.loads(payload)
+def _load_shared(digest: str, path: str):
+    """This worker's unpickled payload for ``digest``; read from the
+    spill file at ``path`` on a miss."""
+    if digest in _WORKER_SHARED:
+        _WORKER_SHARED.move_to_end(digest)
+        return _WORKER_SHARED[digest]
+    with open(path, "rb") as handle:
+        shared = pickle.load(handle)
+    _WORKER_SHARED[digest] = shared
+    if len(_WORKER_SHARED) > _WORKER_SHARED_SLOTS:
+        _WORKER_SHARED.popitem(last=False)
+    return shared
 
 
-def _run_chunk_in_worker(fn, chunk):
-    return [fn(_WORKER_SHARED, task) for task in chunk]
+def _run_chunk_in_worker(fn, spill, chunk):
+    shared = _load_shared(*spill)
+    return [fn(shared, task) for task in chunk]
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 class ProcessExecutor(_PooledExecutor):
-    """Process-pool backend with a keyed warm-pool registry.
+    """Process-pool backend: one worker pool for every caller's payload.
 
-    Pools are keyed by the SHA-256 of the pickled ``shared`` payload and
-    kept warm across :meth:`map` calls, so (a) repeated scoring rounds
-    over one utility reuse one pool with zero re-ship cost, and (b)
-    **concurrent** :meth:`map` callers with *different* payloads — the
-    multi-tenant serving case, many jobs sharing one executor — each get
-    their own pool instead of thrashing a single slot (the old
-    single-pool design shut the other caller's pool down mid-flight).
-    The payload is pickled once per :meth:`map` call, not once per chunk
-    submission; per-chunk IPC carries only the chunk.
-
-    Registry maintenance is bounded: at most ``max_warm_pools`` pools
-    stay alive, evicting the least-recently-used *idle* pool (one with
-    no in-flight map call) first; pools with active callers are never
-    evicted. A broken pool is discarded for its own caller only. All
-    registry mutation happens under one re-entrant lock.
+    Each :meth:`map` call pickles ``shared`` once and writes the bytes to
+    a spill file that lives only as long as that call (or until
+    :meth:`close`). It is scratch data, so it is not fsynced. Every chunk
+    carries the payload's SHA-256 digest and the spill path; a worker
+    answers it from its small cache of unpickled payloads and reads the
+    spill file only on a miss. Repeated rounds over one payload therefore
+    reach each worker once, and concurrent callers with different
+    payloads (the multi-tenant serving case) share the same workers.
     """
 
     name = "process"
     _kills_stuck_workers = True
 
-    def __init__(self, max_workers: int | None = None, *,
-                 max_warm_pools: int = 4):
+    def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
-        if max_warm_pools < 1:
-            raise ValidationError("max_warm_pools must be >= 1")
-        self.max_warm_pools = max_warm_pools
-        self._pools: "OrderedDict[str, ProcessPoolExecutor]" = OrderedDict()
-        self._refs: dict[str, int] = {}  # in-flight map calls per digest
-        self._registry_lock = threading.RLock()
-        self._tls = threading.local()  # current map call's digest+payload
+        self._spills: set[str] = set()  # spill files of in-flight maps
 
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers or _available_cpus()
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.effective_workers)
 
-    # -- compatibility views (and handy introspection) ---------------------
-    @property
-    def _pool(self) -> ProcessPoolExecutor | None:
-        """The most-recently-used live pool (``None`` when empty)."""
-        with self._registry_lock:
-            if not self._pools:
-                return None
-            return next(reversed(self._pools.values()))
+    def _submit(self, pool, fn, shipped, chunk):
+        return pool.submit(_run_chunk_in_worker, fn, shipped, chunk)
 
-    @property
-    def _pool_digest(self) -> str | None:
-        """Digest of the most-recently-used live pool."""
-        with self._registry_lock:
-            if not self._pools:
-                return None
-            return next(reversed(self._pools))
-
-    @property
-    def warm_pools(self) -> int:
-        with self._registry_lock:
-            return len(self._pools)
-
-    # -- the per-map digest pin --------------------------------------------
-    def map(self, fn, tasks, *, shared=None, **kwargs) -> list:
-        """Pickle ``shared`` once, pin this call to its pool, fan out."""
+    def _run_chunks(self, fn, shared, chunks, *args) -> list:
         payload = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
-        previous = getattr(self._tls, "pin", None)
-        self._tls.pin = (digest, payload)
-        with self._registry_lock:
-            self._refs[digest] = self._refs.get(digest, 0) + 1
+        fd, path = tempfile.mkstemp(prefix="repro-shared-", suffix=".pkl")
+        with self._pool_lock:
+            self._spills.add(path)
         try:
-            return super().map(fn, tasks, shared=shared, **kwargs)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            return super()._run_chunks(fn, shared, chunks, *args,
+                                       shipped=(digest, path))
         finally:
-            with self._registry_lock:
-                remaining = self._refs.get(digest, 1) - 1
-                if remaining:
-                    self._refs[digest] = remaining
-                else:
-                    self._refs.pop(digest, None)
-                self._evict_idle()
-            self._tls.pin = previous
-
-    def _current_digest(self) -> str:
-        return self._tls.pin[0]
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        digest, payload = self._tls.pin
-        with self._registry_lock:
-            pool = self._pools.get(digest)
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.effective_workers,
-                    initializer=_install_shared, initargs=(payload,))
-                self._pools[digest] = pool
-            self._pools.move_to_end(digest)
-            self._evict_idle()
-            return pool
-
-    def _evict_idle(self) -> None:
-        # caller holds the lock; drop LRU pools nobody is mapping over
-        # until the registry fits the cap.
-        while len(self._pools) > self.max_warm_pools:
-            idle = [d for d in self._pools if not self._refs.get(d)]
-            if not idle:
-                return  # every pool has an active caller; over-cap is OK
-            victim = self._pools.pop(idle[0])
-            try:
-                victim.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-
-    def _submit(self, fn, shared, chunk):
-        return self._ensure_pool().submit(_run_chunk_in_worker, fn, chunk)
-
-    def _discard_pool(self) -> None:
-        # Only the calling map's own pool: a broken pool must not take
-        # a healthy concurrent caller's pool down with it.
-        with self._registry_lock:
-            pool = self._pools.pop(self._current_digest(), None)
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # a broken pool may refuse even shutdown
-                pass
-
-    def _terminate_workers(self) -> None:
-        with self._registry_lock:
-            pool = self._pools.get(self._current_digest())
-        if pool is not None:
-            _terminate(_worker_processes(pool))
+            with self._pool_lock:
+                self._spills.discard(path)
+            _unlink(path)
 
     def close(self, wait: bool = True) -> None:
-        with self._registry_lock:
-            pools = list(self._pools.values())
-            self._pools.clear()
-            self._refs.clear()
-        for pool in pools:
-            workers = _worker_processes(pool)  # shutdown forgets them
-            try:
-                pool.shutdown(wait=wait, cancel_futures=not wait)
-            except Exception:  # interpreter/pool teardown already underway
-                pass
-            if not wait:
-                # Abandoned chunks' workers are stopped too: the caller
-                # is about to exit, and none of them may outlive it.
-                _terminate(workers)
+        super().close(wait)
+        with self._pool_lock:
+            spills, self._spills = self._spills, set()
+        for path in spills:
+            _unlink(path)
 
 
 def _worker_processes(pool) -> list:

@@ -29,7 +29,7 @@ have produced (see :mod:`repro.runtime.executor` on backend invariance).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.exceptions import ReproError, ValidationError
 from repro.runtime.progress import JobCancelled
@@ -197,10 +197,6 @@ class FaultStats:
     worker_crashes: int = 0
     timeouts: int = 0
     degraded_runs: int = 0
-    last_events: list = field(default_factory=list)
-
-    #: Bound on the retained event tail (attribution for reports).
-    MAX_EVENTS = 50
 
     def record(self, event: FaultEvent) -> None:
         if event.kind == "retry":
@@ -211,9 +207,6 @@ class FaultStats:
             self.timeouts += 1
         elif event.kind == "degraded":
             self.degraded_runs += 1
-        self.last_events.append(event)
-        if len(self.last_events) > self.MAX_EVENTS:
-            del self.last_events[:-self.MAX_EVENTS]
 
     def as_dict(self) -> dict:
         return {

@@ -1,15 +1,23 @@
 """Concurrency regressions for the shared runtime pieces the serving
-tier hammers: the fingerprint cache, the warm-pool executor registry,
-and the shutdown-flush hooks."""
+tier hammers: the fingerprint cache, the one process pool that every
+caller of an executor shares (and its recovery when one caller's chunk
+crashes or hangs a worker), and the shutdown-flush hooks."""
 
+import os
 import signal
+import subprocess
+import sys
 import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.runtime import (
+    FaultPolicy,
     FingerprintCache,
     ProcessExecutor,
+    Runtime,
     ThreadExecutor,
     flush_all,
     register_shutdown_flush,
@@ -21,6 +29,64 @@ from repro.runtime.checkpoint import _shutdown_handler
 def _affine(shared, task):
     scale, offset = shared
     return scale * task + offset
+
+
+def _affine_with_pid(shared, task):
+    return _affine(shared, task), os.getpid()
+
+
+def _slow_affine(shared, task):
+    """Marks ``marker`` as started, then naps ``naps[task]`` seconds."""
+    scale, offset, marker, naps = shared
+    if marker:
+        open(marker, "a").close()
+    time.sleep(naps[task])
+    return scale * task + offset
+
+
+def _gated(gate, task):
+    if task == 0:
+        gate.wait(30)
+    return task
+
+
+def _claim(flag) -> bool:
+    try:
+        os.rename(flag, flag + ".claimed")
+    except OSError:
+        return False  # already claimed: run normally
+    return True
+
+
+def _crash_once_affine(shared, task):
+    """The first worker to claim ``flag`` dies; retries compute."""
+    scale, offset, flag = shared
+    if _claim(flag):
+        os._exit(1)
+    return scale * task + offset
+
+
+def _stuck_once_affine(shared, task):
+    """Task 0 hangs the first worker to claim ``flag``; retries compute."""
+    scale, offset, flag, marker = shared
+    if task == 0 and _claim(flag):
+        open(marker, "a").close()
+        time.sleep(60)
+    return scale * task + offset
+
+
+@pytest.fixture()
+def pool_starts(monkeypatch):
+    """Every ``ProcessPoolExecutor`` constructed while the test runs."""
+    starts = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        starts.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    return starts
 
 
 class TestCacheHammer:
@@ -76,10 +142,13 @@ class TestCacheHammer:
 
 
 class TestExecutorRegistry:
-    def test_concurrent_maps_with_distinct_shared_payloads(self):
+    """One executor, many callers: the single process pool that every
+    :meth:`map` caller shares, whatever its payload."""
+
+    def test_concurrent_maps_with_distinct_shared_payloads(self, pool_starts):
         # Two threads map with different shared payloads through ONE
-        # executor: the warm-pool registry must give each its own pool
-        # instead of thrashing a single slot.
+        # executor: both run in its one pool, each worker answering
+        # each payload from its own digest-keyed cache.
         executor = ProcessExecutor(max_workers=1)
         results = {}
         errors = []
@@ -105,33 +174,27 @@ class TestExecutorRegistry:
             assert errors == []
             assert results["x2"] == [2 * i for i in range(20)]
             assert results["x3"] == [3 * i + 1 for i in range(20)]
-            assert executor.warm_pools == 2
+            assert len(pool_starts) == 1
         finally:
             executor.close()
-        assert executor.warm_pools == 0
+        assert executor._pool is None
 
-    def test_idle_pools_evicted_lru_beyond_cap(self):
-        executor = ProcessExecutor(max_workers=1, max_warm_pools=2)
-        try:
-            for offset in range(4):
-                out = executor.map(_affine, range(5), shared=(1, offset))
-                assert out == [i + offset for i in range(5)]
-                assert executor.warm_pools <= 2
-        finally:
-            executor.close()
-
-    def test_compat_pool_accessors_track_mru(self):
-        executor = ProcessExecutor(max_workers=1)
+    def test_distinct_payloads_share_one_pool(self, pool_starts):
+        executor = ProcessExecutor(max_workers=2)
+        pids = set()
         try:
             assert executor._pool is None
-            assert executor._pool_digest is None
-            executor.map(_affine, range(3), shared=(1, 0))
-            assert executor._pool is not None
-            digest_a = executor._pool_digest
-            executor.map(_affine, range(3), shared=(1, 7))
-            assert executor._pool_digest != digest_a
+            for offset in range(5):
+                out = executor.map(_affine_with_pid, range(8),
+                                   shared=(1, offset), chunk_size=1)
+                assert [value for value, _ in out] \
+                    == [i + offset for i in range(8)]
+                pids.update(pid for _, pid in out)
+                assert len(executor._pool._processes) <= 2
         finally:
             executor.close()
+        assert len(pool_starts) == 1
+        assert 1 <= len(pids) <= 2
 
     def test_thread_executor_concurrent_maps_share_one_pool(self):
         executor = ThreadExecutor(max_workers=2)
@@ -152,6 +215,145 @@ class TestExecutorRegistry:
                 assert results[t] == [t * i for i in range(50)]
         finally:
             executor.close()
+
+
+class TestSharedPoolFaults:
+    """A fault in one caller's chunk breaks the shared pool under every
+    concurrent caller; each must recover its own chunks, in order."""
+
+    def _run_pair(self, executor, first, second, marker):
+        # ``first`` starts alone; ``second`` once ``first``'s slow chunk
+        # is running in a worker, so both have chunks in flight.
+        results, errors = {}, []
+
+        def run(tag, kwargs):
+            try:
+                results[tag] = executor.map(**kwargs)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(tag, kwargs),
+                                    daemon=True)
+                   for tag, kwargs in (("first", first), ("second", second))]
+        threads[0].start()
+        deadline = time.monotonic() + 30
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        return results
+
+    def test_worker_crash_in_one_caller_recovers_both(self, tmp_path):
+        flag, marker = tmp_path / "crash", tmp_path / "started"
+        flag.touch()
+        policy = FaultPolicy(retries=1, backoff=0.0)
+        executor = ProcessExecutor(max_workers=2)
+        try:
+            results = self._run_pair(
+                executor,
+                # the slow caller's last chunk is still running in one
+                # worker when the crashing caller's first chunk kills
+                # the other
+                dict(fn=_slow_affine, tasks=range(3), chunk_size=1,
+                     shared=(2, 0, str(marker), (0.2, 0.2, 2.0)),
+                     faults=policy),
+                dict(fn=_crash_once_affine, tasks=range(8), chunk_size=1,
+                     shared=(3, 1, str(flag)), faults=policy),
+                marker)
+        finally:
+            executor.close()
+        assert results["first"] == [2 * i for i in range(3)]
+        assert results["second"] == [3 * i + 1 for i in range(8)]
+        assert (tmp_path / "crash.claimed").exists()
+        # the crashing caller's own incident, plus the slow caller's
+        # collateral one
+        assert executor.fault_stats.worker_crashes == 2
+
+    def test_stuck_chunk_timeout_recovers_both(self, tmp_path):
+        flag, marker = tmp_path / "stuck", tmp_path / "started"
+        flag.touch()
+        executor = ProcessExecutor(max_workers=2)
+        try:
+            results = self._run_pair(
+                executor,
+                dict(fn=_stuck_once_affine, tasks=range(4), chunk_size=1,
+                     shared=(3, 1, str(flag), str(marker)),
+                     faults=FaultPolicy(retries=1, backoff=0.0,
+                                        timeout=1.5)),
+                # still running when the stuck worker is killed
+                dict(fn=_slow_affine, tasks=range(8), chunk_size=1,
+                     shared=(2, 0, None, (0.5,) * 8),
+                     faults=FaultPolicy(retries=1, backoff=0.0)),
+                marker)
+        finally:
+            executor.close()
+        assert results["first"] == [3 * i + 1 for i in range(4)]
+        assert results["second"] == [2 * i for i in range(8)]
+        assert executor.fault_stats.timeouts == 1
+        # killing the stuck worker broke the other caller's chunks too
+        assert executor.fault_stats.worker_crashes == 1
+
+
+    def test_late_discard_keeps_the_rebuilt_pool(self):
+        executor = ThreadExecutor(max_workers=1)
+        try:
+            broken = executor._ensure_pool()
+            executor._discard_pool(broken)  # the first caller's recovery
+            rebuilt = executor._ensure_pool()
+            executor._discard_pool(broken)  # a late caller's, same pool
+            assert executor._pool is rebuilt
+            assert executor.map(_affine, range(3), shared=(2, 0)) \
+                == [0, 2, 4]
+        finally:
+            executor.close()
+
+    def test_chunks_cancelled_by_another_callers_discard_resubmit(self):
+        # One worker runs the gated chunk 0 while chunks 1-3 queue;
+        # another caller's discard cancels the queued ones. That is a
+        # lost pool, not a task error: with no retry budget the map
+        # still completes, counting one crash.
+        executor = ThreadExecutor(max_workers=1)
+        gate = threading.Event()
+        out = {}
+
+        def run():
+            out["results"] = executor.map(
+                _gated, range(4), shared=gate, chunk_size=1,
+                faults=FaultPolicy(retries=0, backoff=0.0))
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 30
+            while (executor._pool is None
+                   or executor._pool._work_queue.qsize() < 3) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            executor._discard_pool(executor._pool)
+            gate.set()
+            thread.join(timeout=30)
+        finally:
+            gate.set()
+            executor.close()
+        assert not thread.is_alive()
+        assert out["results"] == [0, 1, 2, 3]
+        assert executor.fault_stats.worker_crashes == 1
+
+
+class TestDebuggerCorpusPools:
+    def test_corpus_pass_starts_one_pool(self, pool_starts):
+        from repro.pipelines.debugger import load_corpus
+
+        with Runtime("process", max_workers=2,
+                     cache=FingerprintCache()) as runtime:
+            for entry in load_corpus():
+                report = entry.debugger(runtime=runtime).run()
+                assert entry.cause_is_valid(
+                    report.root_causes[0].assignment), entry.name
+        assert len(pool_starts) == 1
 
 
 class TestShutdownFlushHooks:
@@ -207,3 +409,28 @@ class TestShutdownFlushHooks:
             for handle in handles:
                 unregister_shutdown_flush(handle)
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_unguarded_sigterm_with_pool_lock_held_still_exits(self):
+        # Regression: with no guard open, the handler closed every
+        # runtime inline; a main thread interrupted inside pool.submit
+        # holds the pool's shutdown lock, so the teardown waited on it
+        # forever and the process never honoured the signal.
+        script = (
+            "import os, signal, time\n"
+            "from repro.runtime import Runtime, register_shutdown_flush\n"
+            "runtime = Runtime('thread', max_workers=1)\n"
+            "runtime.map(max, [1], shared=0)\n"
+            "runtime.executor._pool._shutdown_lock.acquire()\n"
+            "register_shutdown_flush(lambda: None)\n"
+            "os.kill(os.getpid(), signal.SIGTERM)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + \
+            env.get("PYTHONPATH", "")
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == -signal.SIGTERM, proc.stderr
+        assert time.monotonic() - started < 20

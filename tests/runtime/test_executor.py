@@ -1,5 +1,9 @@
 """Unit tests for the executor backends."""
 
+import os
+import pickle
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,11 @@ from repro.runtime import (
     TaskError,
     ThreadExecutor,
     get_executor,
+)
+from repro.runtime.executor import (
+    _WORKER_SHARED,
+    _WORKER_SHARED_SLOTS,
+    _load_shared,
 )
 
 
@@ -95,8 +104,11 @@ class TestProcessPoolReuse:
             first_pool = executor._pool
             executor.map(_affine, range(3), shared=(1, 0))
             assert executor._pool is first_pool
-            executor.map(_affine, range(3), shared=(5, 0))
-            assert executor._pool is not first_pool
+            # a new payload reuses the one pool too; workers load it
+            # from the call's spill file
+            assert executor.map(_affine, range(3), shared=(5, 0)) \
+                == [0, 5, 10]
+            assert executor._pool is first_pool
         finally:
             executor.close()
 
@@ -105,6 +117,50 @@ class TestProcessPoolReuse:
         with ProcessExecutor(max_workers=2) as executor:
             out = executor.map(_sum_slice, [(0, 5), (5, 20)], shared=data)
         assert out == [float(data[:5].sum()), float(data[5:].sum())]
+
+    def test_spill_file_lives_only_for_its_map(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ProcessExecutor(max_workers=1) as executor:
+            assert executor.map(_spill_count, range(3),
+                                shared=str(tmp_path)) \
+                == [1, 1, 1]  # this map's own spill file, nothing else
+            assert os.listdir(tmp_path) == []
+            with pytest.raises(TaskError):
+                executor.map(_failing, range(5), shared=(1, 0),
+                             faults={"retries": 0})
+            assert os.listdir(tmp_path) == []
+
+    def test_close_removes_spill_files_of_unfinished_maps(self, tmp_path):
+        executor = ProcessExecutor(max_workers=1)
+        spill = tmp_path / "repro-shared-abandoned.pkl"
+        spill.write_bytes(b"payload")
+        executor._spills.add(str(spill))  # as a map cut short by a signal
+        executor.close(wait=False)
+        assert not spill.exists()
+
+    def test_worker_payload_cache_is_a_bounded_lru(self, tmp_path):
+        paths = []
+        for i in range(_WORKER_SHARED_SLOTS + 1):
+            path = tmp_path / f"spill-{i}"
+            path.write_bytes(pickle.dumps(("payload", i)))
+            paths.append(str(path))
+        try:
+            assert _load_shared("d0", paths[0]) == ("payload", 0)
+            os.unlink(paths[0])
+            assert _load_shared("d0", paths[0]) == ("payload", 0)  # a hit
+            for i in range(1, _WORKER_SHARED_SLOTS + 1):
+                _load_shared(f"d{i}", paths[i])
+                _load_shared("d0", paths[0])  # most recently used stays
+            assert list(_WORKER_SHARED)[-1] == "d0"
+            assert len(_WORKER_SHARED) == _WORKER_SHARED_SLOTS
+            assert "d1" not in _WORKER_SHARED  # least recently used left
+        finally:
+            _WORKER_SHARED.clear()
+
+
+def _spill_count(spill_dir, task):
+    return len([name for name in os.listdir(spill_dir)
+                if name.startswith("repro-shared-")])
 
 
 def _sum_slice(shared, task):

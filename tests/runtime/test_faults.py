@@ -138,16 +138,15 @@ def small_game():
 
 class TestBrokenPoolRebuild:
     def test_second_map_after_broken_pool_succeeds(self):
-        # Regression: the executor used to keep its stale _pool_digest
-        # after BrokenProcessPool, so every later map() reused the dead
-        # pool and failed forever.
+        # Regression: the executor used to keep its dead pool after
+        # BrokenProcessPool, so every later map() reused it and failed
+        # forever.
         with Runtime(backend="process", max_workers=2,
                      faults={"on_worker_failure": "raise",
                              "backoff": 0.0}) as runtime:
             with pytest.raises(TaskError):
                 runtime.map(_exit_always, range(4), stage="crash")
             assert runtime.executor._pool is None
-            assert runtime.executor._pool_digest is None
             assert runtime.map(_double, range(4),
                                stage="recovered") == [0, 2, 4, 6]
 
