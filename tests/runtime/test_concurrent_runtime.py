@@ -283,9 +283,12 @@ class TestSharedPoolFaults:
                      shared=(3, 1, str(flag), str(marker)),
                      faults=FaultPolicy(retries=1, backoff=0.0,
                                         timeout=1.5)),
-                # still running when the stuck worker is killed
+                # 2 s of work on the one free worker: still running when
+                # the stuck worker is killed, and done soon enough after
+                # that for the stuck chunk's retry, queued behind it,
+                # to start within its own timeout
                 dict(fn=_slow_affine, tasks=range(8), chunk_size=1,
-                     shared=(2, 0, None, (0.5,) * 8),
+                     shared=(2, 0, None, (0.25,) * 8),
                      faults=FaultPolicy(retries=1, backoff=0.0)),
                 marker)
         finally:
