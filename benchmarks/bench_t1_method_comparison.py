@@ -73,7 +73,7 @@ def run_all_methods(seed=3, runtime=None):
 
     # The retraining-based estimators share one runtime: the fingerprint
     # cache deduplicates repeated coalitions (e.g. the grand coalition)
-    # across methods, and stage timings land in the session summary.
+    # across methods.
     def game():
         return Utility(KNeighborsClassifier(5), X, y, Xv, yv,
                        runtime=runtime)

@@ -5,22 +5,11 @@ the experiment index in DESIGN.md), times it through pytest-benchmark,
 writes the regenerated table/series to ``benchmarks/results/<exp>.txt``
 and records headline numbers in ``benchmark.extra_info``. EXPERIMENTS.md
 summarizes paper-vs-measured for every experiment.
-
-At the end of a session the runtime's global counters — fingerprint-cache
-hits/misses/evictions, executor fault/recovery totals, and wall-time per
-execution stage — are printed so every benchmark run shows where its
-budget went.
 """
 
 from pathlib import Path
 
 import pytest
-
-from repro.runtime import (
-    aggregate_cache_stats,
-    aggregate_fault_stats,
-    aggregate_stage_timings,
-)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -29,30 +18,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-def pytest_terminal_summary(terminalreporter):
-    """Print aggregated runtime/cache introspection after the benches."""
-    cache = aggregate_cache_stats()
-    stages = aggregate_stage_timings()
-    if not cache["puts"] and not stages:
-        return
-    write = terminalreporter.write_line
-    terminalreporter.section("repro.runtime summary")
-    write(f"fingerprint cache: {cache['memory_hits']} memory hits, "
-          f"{cache['disk_hits']} disk hits, {cache['misses']} misses, "
-          f"{cache['evictions']} evictions "
-          f"(hit rate {cache['hit_rate']:.1%})")
-    faults = aggregate_fault_stats()
-    if any(faults.values()):
-        write(f"faults: {faults['retries']} retries, "
-              f"{faults['worker_crashes']} worker crashes, "
-              f"{faults['timeouts']} timeouts, "
-              f"{faults['degraded_runs']} degraded runs")
-    for stage, entry in sorted(stages.items(),
-                               key=lambda kv: -kv[1]["seconds"]):
-        write(f"stage {stage:<28} {entry['seconds']:>9.3f}s "
-              f"{entry['tasks']:>8} tasks")
 
 
 def write_result(results_dir: Path, name: str, lines) -> None:

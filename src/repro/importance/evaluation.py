@@ -48,8 +48,9 @@ def detection_report(values, corrupted_indices, k: int, *, utility=None,
 
     Bundles recall@k / precision@k with the runtime introspection the
     benchmarks print: model trainings consumed (``utility.calls``), the
-    fingerprint-cache hit-rate, and wall-time per runtime stage — so a
-    method's ranking quality is always read next to its price.
+    kernel, the backend and the fingerprint-cache hit-rate — so a
+    method's ranking quality is always read next to its price. Wall
+    time per runtime stage comes from an attached observer's spans.
 
     Parameters
     ----------
@@ -90,10 +91,6 @@ def detection_report(values, corrupted_indices, k: int, *, utility=None,
                 report["cache_hit_rate"] = cache_stats["hit_rate"]
                 report["cache_hits"] = (cache_stats["memory_hits"]
                                         + cache_stats["disk_hits"])
-            report["stage_seconds"] = {
-                stage: entry["seconds"]
-                for stage, entry in runtime_stats["stages"].items()
-            }
     return report
 
 

@@ -30,13 +30,16 @@ Quick start::
     rt = Runtime(backend="process", cache=FingerprintCache())
     utility = Utility(model, X, y, Xv, yv, runtime=rt)
     values = MonteCarloShapley(n_permutations=100, seed=0).score(utility)
-    print(rt.stats())   # backend, cache hit-rate, wall-time per stage
+    print(rt.stats())   # backend, workers, cache counters
+
+Timings and fault counts come from an attached
+:class:`repro.observe.Observer` (``Runtime(..., observer=obs)``): one
+``runtime.<stage>`` span per batch plus the ``executor.*`` counters.
 """
 
 from repro.runtime.cache import (
     CacheStats,
     FingerprintCache,
-    aggregate_cache_stats,
     data_fingerprint,
     fingerprint,
 )
@@ -66,7 +69,6 @@ from repro.runtime.faults import (
     DEFAULT_FAULT_POLICY,
     FaultEvent,
     FaultPolicy,
-    FaultStats,
     TaskError,
     resolve_fault_policy,
 )
@@ -75,13 +77,10 @@ from repro.runtime.progress import (
     JobCancelled,
     ProgressEvent,
     ProgressRecorder,
-    StageTimer,
     cancel_after,
 )
 from repro.runtime.runtime import (
     Runtime,
-    aggregate_fault_stats,
-    aggregate_stage_timings,
     close_all_runtimes,
     resolve_runtime,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "Executor",
     "FaultEvent",
     "FaultPolicy",
-    "FaultStats",
     "FingerprintCache",
     "JobCancelled",
     "LoopCheckpointer",
@@ -109,12 +107,8 @@ __all__ = [
     "Runtime",
     "SerialExecutor",
     "ShutdownRequested",
-    "StageTimer",
     "TaskError",
     "ThreadExecutor",
-    "aggregate_cache_stats",
-    "aggregate_fault_stats",
-    "aggregate_stage_timings",
     "cancel_after",
     "close_all_runtimes",
     "data_fingerprint",

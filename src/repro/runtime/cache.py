@@ -24,7 +24,6 @@ import hashlib
 import os
 import tempfile
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,26 +135,6 @@ class CacheStats:
                 "hit_rate": self.hit_rate}
 
 
-# Registry of live caches so benchmark harnesses can print a global
-# summary without threading cache handles through every call site.
-_LIVE_CACHES: "weakref.WeakSet[FingerprintCache]" = weakref.WeakSet()
-
-
-def aggregate_cache_stats() -> dict:
-    """Summed counters over every cache still alive in this process."""
-    total = CacheStats()
-    for cache in list(_LIVE_CACHES):
-        stats = cache.stats
-        total.memory_hits += stats.memory_hits
-        total.disk_hits += stats.disk_hits
-        total.misses += stats.misses
-        total.puts += stats.puts
-        total.evictions += stats.evictions
-        total.disk_corrupt += stats.disk_corrupt
-        total.disk_put_errors += stats.disk_put_errors
-    return total.as_dict()
-
-
 class FingerprintCache:
     """Two-tier (memory LRU + optional disk) memo table for floats.
 
@@ -187,7 +166,6 @@ class FingerprintCache:
         self._disk_put_failures = 0
         self._disk_degraded = False
         self.stats = CacheStats()
-        _LIVE_CACHES.add(self)
 
     def __len__(self) -> int:
         with self._lock:

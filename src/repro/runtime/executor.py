@@ -54,7 +54,6 @@ from repro.core.exceptions import ValidationError
 from repro.runtime.checkpoint import ShutdownRequested
 from repro.runtime.faults import (
     FaultEvent,
-    FaultStats,
     TaskError,
     backoff_wait,
     resolve_fault_policy,
@@ -103,7 +102,6 @@ class Executor:
         if max_workers is not None and max_workers < 1:
             raise ValidationError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self.fault_stats = FaultStats()
 
     @property
     def effective_workers(self) -> int:
@@ -153,12 +151,11 @@ class Executor:
 
     def _emit_fault(self, fault_hook, kind: str, stage: str, chunk_index: int,
                     attempt: int, error: BaseException, started: float) -> None:
-        event = FaultEvent(kind=kind, stage=stage, chunk_index=chunk_index,
-                           attempt=attempt, error=repr(error),
-                           elapsed=time.perf_counter() - started)
-        self.fault_stats.record(event)
         if fault_hook is not None:
-            fault_hook(event)
+            fault_hook(FaultEvent(kind=kind, stage=stage,
+                                  chunk_index=chunk_index, attempt=attempt,
+                                  error=repr(error),
+                                  elapsed=time.perf_counter() - started))
 
     def _run_chunks(self, fn, shared, chunks, n_tasks, progress, cancel,
                     stage, policy, fault_hook) -> list:
@@ -324,7 +321,7 @@ class _PooledExecutor(Executor):
         completed_tasks = 0
         pending: set = set()
         chunk_of: dict = {}  # future -> (chunk index, the pool it ran in)
-        deadline_of: dict = {}
+        deadline_of: dict = {}  # future -> deadline, None until it runs
         live: set = set()  # chunk indices with an active future
 
         def forget(future) -> tuple:
@@ -359,7 +356,7 @@ class _PooledExecutor(Executor):
             pending.add(future)
             live.add(idx)
             if policy.timeout is not None:
-                deadline_of[future] = time.monotonic() + policy.timeout
+                deadline_of[future] = None
 
         def record_success(idx: int, chunk_results) -> None:
             nonlocal completed_tasks
@@ -433,9 +430,15 @@ class _PooledExecutor(Executor):
                 submit(lost_idx)
 
         def expire_timeouts() -> None:
+            # A chunk's clock starts when its future starts running, not
+            # at submission: on a shared pool it may first queue behind
+            # other callers' chunks.
             now = time.monotonic()
+            for future, deadline in deadline_of.items():
+                if deadline is None and future.running():
+                    deadline_of[future] = now + policy.timeout
             expired = [future for future, deadline in deadline_of.items()
-                       if deadline < now]
+                       if deadline is not None and deadline < now]
             for future in expired:
                 if future not in chunk_of:
                     continue
@@ -443,7 +446,7 @@ class _PooledExecutor(Executor):
                 error = TimeoutError(
                     f"chunk {idx} exceeded the per-chunk timeout of "
                     f"{policy.timeout:g}s")
-                if not future.cancel() and self._kills_stuck_workers:
+                if self._kills_stuck_workers:
                     # Running in a worker we can only stop by killing the
                     # pool; sibling in-flight chunks are collateral and
                     # get resubmitted without consuming their budgets
@@ -455,9 +458,9 @@ class _PooledExecutor(Executor):
                     for sibling in lost:
                         submit(sibling)
                 else:
-                    # Never-started chunk, or a thread future we must
-                    # abandon (its worker cannot be interrupted; the task
-                    # is pure, so a duplicate completion is harmless).
+                    # A thread future we must abandon: its worker cannot
+                    # be interrupted (the task is pure, so a duplicate
+                    # completion is harmless).
                     task_failure(idx, error)
 
         try:

@@ -15,10 +15,12 @@ vocabulary the executors speak when things go wrong:
 - :class:`TaskError` — the structured exception executors raise once a
   chunk's budget is exhausted, carrying stage / chunk / backend / attempt
   attribution with the original exception chained as ``__cause__``.
-- :class:`FaultEvent` / :class:`FaultStats` — the per-incident records
-  and cumulative counters that feed ``repro.observe`` (the
-  ``executor.retries`` / ``executor.worker_crashes`` /
-  ``executor.timeouts`` / ``executor.degraded_runs`` metrics).
+- :class:`FaultEvent` — the per-incident record an executor hands its
+  ``fault_hook``; :class:`~repro.runtime.Runtime` turns each one into
+  ``repro.observe`` metrics (``executor.retries`` /
+  ``executor.worker_crashes`` / ``executor.timeouts`` /
+  ``executor.degraded_runs``), an ``executor.fault`` runlog event and
+  an entry on the open span.
 
 Recovery never changes results: tasks are pure functions of their
 arguments and every RNG stream is spawned before submission, so a
@@ -38,7 +40,6 @@ __all__ = [
     "DEFAULT_FAULT_POLICY",
     "FaultEvent",
     "FaultPolicy",
-    "FaultStats",
     "TaskError",
     "resolve_fault_policy",
 ]
@@ -181,40 +182,6 @@ class FaultEvent:
     attempt: int
     error: str
     elapsed: float
-
-
-@dataclass
-class FaultStats:
-    """Cumulative fault counters an executor keeps across ``map`` calls.
-
-    Mirrored as the ``executor.*`` metrics when a
-    :class:`repro.observe.Observer` is attached; always available via
-    ``executor.fault_stats`` / ``Runtime.stats()["faults"]`` so tests
-    and reports can see recovery activity without an observer.
-    """
-
-    retries: int = 0
-    worker_crashes: int = 0
-    timeouts: int = 0
-    degraded_runs: int = 0
-
-    def record(self, event: FaultEvent) -> None:
-        if event.kind == "retry":
-            self.retries += 1
-        elif event.kind == "worker_crash":
-            self.worker_crashes += 1
-        elif event.kind == "timeout":
-            self.timeouts += 1
-        elif event.kind == "degraded":
-            self.degraded_runs += 1
-
-    def as_dict(self) -> dict:
-        return {
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "timeouts": self.timeouts,
-            "degraded_runs": self.degraded_runs,
-        }
 
 
 def backoff_wait(seconds: float, cancel, stage: str) -> None:

@@ -16,7 +16,6 @@ be aborted even while it is sleeping between attempts.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import ReproError
@@ -102,53 +101,3 @@ def cancel_after(token: CancellationToken, n_events: int):
             token.cancel()
 
     return hook
-
-
-class StageTimer:
-    """Accumulates wall-time per named stage (thread-safe)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._seconds: dict[str, float] = {}
-        self._tasks: dict[str, int] = {}
-
-    def add(self, stage: str, seconds: float, tasks: int = 0) -> None:
-        with self._lock:
-            self._seconds[stage] = self._seconds.get(stage, 0.0) + seconds
-            self._tasks[stage] = self._tasks.get(stage, 0) + tasks
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                stage: {"seconds": self._seconds[stage],
-                        "tasks": self._tasks.get(stage, 0)}
-                for stage in self._seconds
-            }
-
-    def total_seconds(self) -> float:
-        with self._lock:
-            return sum(self._seconds.values())
-
-
-class _Stopwatch:
-    """Context manager measuring one job for a :class:`StageTimer`.
-
-    A job that raises (cancellation, worker error) still charges its
-    elapsed seconds — that time was spent — but not its task count,
-    since the tasks did not all complete.
-    """
-
-    def __init__(self, timer: StageTimer | None, stage: str, tasks: int):
-        self.timer = timer
-        self.stage = stage
-        self.tasks = tasks
-
-    def __enter__(self):
-        self.started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        if self.timer is not None:
-            self.timer.add(self.stage, time.perf_counter() - self.started,
-                           self.tasks if exc_type is None else 0)
-        return False

@@ -6,9 +6,10 @@ submits its batches here instead of looping inline. One object therefore
 decides, for a whole experiment, *where* work runs (backend), *what* is
 memoized (fingerprint cache), *how* the job reports and aborts
 (progress hook / cancellation token), and *how it survives failures*
-(the :class:`~repro.runtime.FaultPolicy` applied to every batch) — and
-it accumulates wall-time per stage so reports can show where the budget
-went.
+(the :class:`~repro.runtime.FaultPolicy` applied to every batch).
+Where the time went and what went wrong are recorded by the attached
+:class:`repro.observe.Observer`, as ``runtime.<stage>`` spans and
+``executor.*`` counters and events.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.observe.observer import resolve_observer
 from repro.runtime.cache import FingerprintCache
 from repro.runtime.executor import Executor, get_executor
 from repro.runtime.faults import resolve_fault_policy
-from repro.runtime.progress import StageTimer, _Stopwatch
 
 _LIVE_RUNTIMES: "weakref.WeakSet[Runtime]" = weakref.WeakSet()
 
@@ -65,8 +65,9 @@ class Runtime:
         batch, and fault handling feeds the ``executor.retries`` /
         ``executor.worker_crashes`` / ``executor.timeouts`` /
         ``executor.degraded_runs`` counters plus per-incident
-        ``executor.fault`` runlog events. Defaults to the shared no-op
-        observer (zero overhead).
+        ``executor.fault`` runlog events. This is the runtime's only
+        record of timings and fault counts. Defaults to the shared
+        no-op observer (zero overhead).
     faults:
         :class:`~repro.runtime.FaultPolicy` (or a dict of its fields)
         applied to every :meth:`map` call: per-chunk bounded retries
@@ -110,7 +111,6 @@ class Runtime:
         self.observer = resolve_observer(observer)
         self.faults = resolve_fault_policy(faults,
                                            on_worker_failure=on_worker_failure)
-        self.timings = StageTimer()
         _LIVE_RUNTIMES.add(self)
 
     @property
@@ -137,8 +137,8 @@ class Runtime:
     def map(self, fn, tasks, *, shared=None, stage: str = "map") -> list:
         """Fan ``fn(shared, task)`` out over the backend; ordered results.
 
-        Wall-time is charged to ``stage`` in :attr:`timings`; failures
-        are handled per :attr:`faults`.
+        The attached observer times the call as a ``runtime.<stage>``
+        span; failures are handled per :attr:`faults`.
         """
         tasks = list(tasks)
         fault_hook = None
@@ -149,11 +149,10 @@ class Runtime:
                                 backend=self.backend,
                                 workers=self.executor.effective_workers,
                                 tasks=len(tasks)):
-            with _Stopwatch(self.timings, stage, len(tasks)):
-                return self.executor.map(
-                    fn, tasks, shared=shared, chunk_size=self.chunk_size,
-                    progress=self.progress, cancel=self.cancel, stage=stage,
-                    faults=self.faults, fault_hook=fault_hook)
+            return self.executor.map(
+                fn, tasks, shared=shared, chunk_size=self.chunk_size,
+                progress=self.progress, cancel=self.cancel, stage=stage,
+                faults=self.faults, fault_hook=fault_hook)
 
     def map_cached(self, fn, tasks, *, key_fn, shared=None,
                    stage: str = "map") -> list:
@@ -193,14 +192,12 @@ class Runtime:
         return [results[key] for key in keys]
 
     def stats(self) -> dict:
-        """Snapshot: backend, workers, cache counters, fault counters,
-        per-stage timings."""
+        """Snapshot: backend, workers, cache counters. Timings and fault
+        counts live in the attached observer."""
         return {
             "backend": self.backend,
             "workers": self.executor.effective_workers,
             "cache": self.cache.stats.as_dict() if self.cache else None,
-            "faults": self.executor.fault_stats.as_dict(),
-            "stages": self.timings.snapshot(),
         }
 
     def close(self, wait: bool = True) -> None:
@@ -262,25 +259,3 @@ def close_all_runtimes(wait: bool = True) -> None:
         except Exception:
             pass
 
-
-def aggregate_stage_timings() -> dict:
-    """Merged per-stage wall-time over every live runtime (for reports)."""
-    merged: dict[str, dict] = {}
-    for runtime in list(_LIVE_RUNTIMES):
-        for stage, entry in runtime.timings.snapshot().items():
-            slot = merged.setdefault(stage, {"seconds": 0.0, "tasks": 0})
-            slot["seconds"] += entry["seconds"]
-            slot["tasks"] += entry["tasks"]
-    return merged
-
-
-def aggregate_fault_stats() -> dict:
-    """Summed executor fault counters over every live runtime — the
-    session-wide "what went wrong and what was recovered" rollup the
-    benchmark summary prints."""
-    totals = {"retries": 0, "worker_crashes": 0, "timeouts": 0,
-              "degraded_runs": 0}
-    for runtime in list(_LIVE_RUNTIMES):
-        for key, value in runtime.executor.fault_stats.as_dict().items():
-            totals[key] += value
-    return totals

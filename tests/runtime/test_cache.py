@@ -207,12 +207,3 @@ class TestDiskPutDegradation:
         cache.clear_memory()
         assert cache.get(fingerprint("transient", 4)) == 4.0
         assert cache.stats.disk_hits == 1
-
-    def test_aggregate_includes_disk_put_errors(self, tmp_path):
-        from repro.runtime.cache import aggregate_cache_stats
-        blocker = tmp_path / "f"
-        blocker.write_text("x")
-        cache = FingerprintCache(disk_dir=blocker / "nested")
-        cache.put(fingerprint("agg"), 1.0)
-        totals = aggregate_cache_stats()
-        assert totals["disk_put_errors"] >= 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observe import Observer
 from repro.runtime import (
     BACKENDS,
     CancellationToken,
@@ -48,17 +49,21 @@ class TestEstimatorCancellation:
             if event.completed >= 2:
                 token.cancel()
 
+        observer = Observer()
         with Runtime(backend="serial", cancel=token, progress=progress,
-                     chunk_size=1) as runtime:
+                     chunk_size=1, observer=observer) as runtime:
             utility = Utility(KNeighborsClassifier(3), *tiny_game,
                               runtime=runtime)
             estimator = MonteCarloShapley(n_permutations=50,
                                           truncation_tol=0.0, seed=0)
             with pytest.raises(JobCancelled):
                 estimator.score(utility)
-        # Some work happened before the abort, and it was accounted for.
+        # Some work happened before the abort, and the aborted batch's
+        # span records the failure.
         assert recorder.last is not None
-        assert utility.runtime.timings.total_seconds() >= 0.0
+        aborted = observer.tracer.roots[-1]
+        assert aborted.name.startswith("runtime.")
+        assert aborted.status == "error"
 
 
 @pytest.fixture()

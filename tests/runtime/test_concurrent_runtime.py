@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -251,6 +252,7 @@ class TestSharedPoolFaults:
         flag.touch()
         policy = FaultPolicy(retries=1, backoff=0.0)
         executor = ProcessExecutor(max_workers=2)
+        faults = []
         try:
             results = self._run_pair(
                 executor,
@@ -259,9 +261,10 @@ class TestSharedPoolFaults:
                 # the other
                 dict(fn=_slow_affine, tasks=range(3), chunk_size=1,
                      shared=(2, 0, str(marker), (0.2, 0.2, 2.0)),
-                     faults=policy),
+                     faults=policy, fault_hook=faults.append),
                 dict(fn=_crash_once_affine, tasks=range(8), chunk_size=1,
-                     shared=(3, 1, str(flag)), faults=policy),
+                     shared=(3, 1, str(flag)), faults=policy,
+                     fault_hook=faults.append),
                 marker)
         finally:
             executor.close()
@@ -270,35 +273,83 @@ class TestSharedPoolFaults:
         assert (tmp_path / "crash.claimed").exists()
         # the crashing caller's own incident, plus the slow caller's
         # collateral one
-        assert executor.fault_stats.worker_crashes == 2
+        assert Counter(event.kind for event in faults)["worker_crash"] == 2
 
     def test_stuck_chunk_timeout_recovers_both(self, tmp_path):
         flag, marker = tmp_path / "stuck", tmp_path / "started"
         flag.touch()
         executor = ProcessExecutor(max_workers=2)
+        faults = []
         try:
             results = self._run_pair(
                 executor,
                 dict(fn=_stuck_once_affine, tasks=range(4), chunk_size=1,
                      shared=(3, 1, str(flag), str(marker)),
                      faults=FaultPolicy(retries=1, backoff=0.0,
-                                        timeout=1.5)),
+                                        timeout=1.5),
+                     fault_hook=faults.append),
                 # 2 s of work on the one free worker: still running when
                 # the stuck worker is killed, and done soon enough after
                 # that for the stuck chunk's retry, queued behind it,
                 # to start within its own timeout
                 dict(fn=_slow_affine, tasks=range(8), chunk_size=1,
                      shared=(2, 0, None, (0.25,) * 8),
-                     faults=FaultPolicy(retries=1, backoff=0.0)),
+                     faults=FaultPolicy(retries=1, backoff=0.0),
+                     fault_hook=faults.append),
                 marker)
         finally:
             executor.close()
         assert results["first"] == [3 * i + 1 for i in range(4)]
         assert results["second"] == [2 * i for i in range(8)]
-        assert executor.fault_stats.timeouts == 1
+        kinds = Counter(event.kind for event in faults)
+        assert kinds["timeout"] == 1
         # killing the stuck worker broke the other caller's chunks too
-        assert executor.fault_stats.worker_crashes == 1
+        assert kinds["worker_crash"] == 1
 
+    # A chunk's timeout clock starts when its chunk starts, not when it
+    # is submitted: queued behind another caller's long work, a quick
+    # chunk must not time out before it has run.
+
+    def test_thread_chunk_queued_behind_another_caller_does_not_time_out(
+            self, tmp_path):
+        marker = tmp_path / "started"
+        executor = ThreadExecutor(max_workers=1)
+        try:
+            results = self._run_pair(
+                executor,
+                # holds the only worker for 2 s
+                dict(fn=_slow_affine, tasks=range(1),
+                     shared=(2, 0, str(marker), (2.0,))),
+                # queued for ~2 s; runs instantly against a 1 s timeout
+                dict(fn=_affine, tasks=range(1), shared=(3, 1),
+                     faults=FaultPolicy(retries=0, backoff=0.0,
+                                        timeout=1.0)),
+                marker)
+        finally:
+            executor.close()
+        assert results == {"first": [0], "second": [1]}
+
+    def test_process_chunk_queued_behind_another_caller_does_not_time_out(
+            self, tmp_path):
+        marker = tmp_path / "started"
+        executor = ProcessExecutor(max_workers=1)
+        try:
+            results = self._run_pair(
+                executor,
+                # five 0.5 s chunks: the second caller's chunk starts
+                # ~2.5 s after submission. The pool marks a future
+                # running when it enters the call queue (two slots for
+                # one worker), so its clock starts while one chunk runs
+                # and one more waits ahead of it: ~1 s before it runs.
+                dict(fn=_slow_affine, tasks=range(5), chunk_size=1,
+                     shared=(2, 0, str(marker), (0.5,) * 5)),
+                dict(fn=_affine, tasks=range(1), shared=(3, 1),
+                     faults=FaultPolicy(retries=0, backoff=0.0,
+                                        timeout=1.75)),
+                marker)
+        finally:
+            executor.close()
+        assert results == {"first": [0, 2, 4, 6, 8], "second": [1]}
 
     def test_late_discard_keeps_the_rebuilt_pool(self):
         executor = ThreadExecutor(max_workers=1)
@@ -321,11 +372,13 @@ class TestSharedPoolFaults:
         executor = ThreadExecutor(max_workers=1)
         gate = threading.Event()
         out = {}
+        faults = []
 
         def run():
             out["results"] = executor.map(
                 _gated, range(4), shared=gate, chunk_size=1,
-                faults=FaultPolicy(retries=0, backoff=0.0))
+                faults=FaultPolicy(retries=0, backoff=0.0),
+                fault_hook=faults.append)
 
         thread = threading.Thread(target=run, daemon=True)
         try:
@@ -343,7 +396,7 @@ class TestSharedPoolFaults:
             executor.close()
         assert not thread.is_alive()
         assert out["results"] == [0, 1, 2, 3]
-        assert executor.fault_stats.worker_crashes == 1
+        assert Counter(event.kind for event in faults)["worker_crash"] == 1
 
 
 class TestDebuggerCorpusPools:

@@ -16,6 +16,7 @@ import gc
 import os
 import threading
 import time
+from concurrent.futures.thread import BrokenThreadPool
 
 import numpy as np
 import pytest
@@ -153,12 +154,13 @@ class TestBrokenPoolRebuild:
     def test_repeated_crashes_are_bounded(self):
         # A task that kills every worker it touches cannot rebuild the
         # pool forever: the crash budget trips into a TaskError.
-        with Runtime(backend="process", max_workers=2,
+        observer = Observer()
+        with Runtime(backend="process", max_workers=2, observer=observer,
                      faults=FaultPolicy(retries=1, backoff=0.0,
                                         max_worker_crashes=2)) as runtime:
             with pytest.raises(TaskError) as info:
                 runtime.map(_exit_always, range(3), stage="hopeless")
-        assert runtime.executor.fault_stats.worker_crashes == 3
+        assert observer.metrics.snapshot()["executor.worker_crashes"] == 3
         assert info.value.stage == "hopeless"
 
 
@@ -228,14 +230,15 @@ class TestWorkerCrashRecovery:
         assert [s.hex() for s in scores] == [s.hex() for s in serial_scores]
 
     def test_crash_once_map_recovers_all_results(self, crash_flag):
-        with Runtime(backend="process", max_workers=2,
+        observer = Observer()
+        with Runtime(backend="process", max_workers=2, observer=observer,
                      faults=FaultPolicy(retries=2, backoff=0.0)) as runtime:
             results = runtime.map(_crash_once, range(8), shared=crash_flag,
                                   stage="once")
         assert results == [task * 3 for task in range(8)]
-        stats = runtime.executor.fault_stats
-        assert stats.worker_crashes == 1
-        assert stats.retries >= 1
+        counters = observer.metrics.snapshot()
+        assert counters["executor.worker_crashes"] == 1
+        assert counters["executor.retries"] >= 1
 
     def test_degraded_serial_fallback_completes(self):
         observer = Observer()
@@ -244,10 +247,9 @@ class TestWorkerCrashRecovery:
                      faults={"backoff": 0.0}) as runtime:
             results = runtime.map(_worker_only_crash, range(6), stage="deg")
         assert results == [task + 1 for task in range(6)]
-        stats = runtime.executor.fault_stats
-        assert stats.worker_crashes == 1
-        assert stats.degraded_runs == 1
-        assert observer.metrics.snapshot()["executor.degraded_runs"] == 1
+        counters = observer.metrics.snapshot()
+        assert counters["executor.worker_crashes"] == 1
+        assert counters["executor.degraded_runs"] == 1
 
     def test_on_worker_failure_raise_propagates_with_context(self):
         with Runtime(backend="process", max_workers=2,
@@ -265,11 +267,12 @@ class TestWorkerCrashRecovery:
 class TestRetries:
     def test_transient_failure_retried_to_success(self):
         _FLAKY_STATE["remaining"] = 2
-        with Runtime(backend="thread", max_workers=2,
+        observer = Observer()
+        with Runtime(backend="thread", max_workers=2, observer=observer,
                      faults=FaultPolicy(retries=3, backoff=0.0)) as runtime:
             results = runtime.map(_flaky, range(8), stage="flaky")
         assert results == [task * 10 for task in range(8)]
-        assert runtime.executor.fault_stats.retries == 2
+        assert observer.metrics.snapshot()["executor.retries"] == 2
 
     def test_budget_exhaustion_raises_task_error_with_attribution(self):
         with Runtime(backend="thread", max_workers=2, chunk_size=1,
@@ -315,7 +318,8 @@ class TestRetries:
 
 class TestTimeouts:
     def test_stuck_chunk_times_out_into_task_error(self):
-        with Runtime(backend="process", max_workers=2,
+        observer = Observer()
+        with Runtime(backend="process", max_workers=2, observer=observer,
                      faults=FaultPolicy(retries=0, timeout=0.5,
                                         backoff=0.0)) as runtime:
             started = time.perf_counter()
@@ -323,7 +327,7 @@ class TestTimeouts:
                 runtime.map(_sleepy, [30], stage="stuck")
             assert time.perf_counter() - started < 10.0
             assert isinstance(info.value.__cause__, TimeoutError)
-            assert runtime.executor.fault_stats.timeouts == 1
+            assert observer.metrics.snapshot()["executor.timeouts"] == 1
             # The killed pool is rebuilt transparently for the next job.
             assert runtime.map(_double, [1, 2], stage="after") == [2, 4]
 
@@ -332,13 +336,14 @@ class TestTimeouts:
         # claimed) returns quickly.
         flag = tmp_path / "slow-flag"
         flag.touch()
-        with Runtime(backend="process", max_workers=2,
+        observer = Observer()
+        with Runtime(backend="process", max_workers=2, observer=observer,
                      faults=FaultPolicy(retries=1, timeout=1.0,
                                         backoff=0.0)) as runtime:
             results = runtime.map(_slow_once, [7], shared=str(flag),
                                   stage="slow-once")
         assert results == [7]
-        assert runtime.executor.fault_stats.timeouts == 1
+        assert observer.metrics.snapshot()["executor.timeouts"] == 1
 
 
 def _slow_once(shared, task):
@@ -348,6 +353,101 @@ def _slow_once(shared, task):
         return task
     time.sleep(60)
     return task
+
+
+# --- the three fault records agree ------------------------------------------
+
+def _claim_task_flag(flag, task) -> bool:
+    """True for the one attempt that claims ``<flag>-<task>``; tasks
+    without an armed flag file never misbehave."""
+    try:
+        os.rename(f"{flag}-{task}", f"{flag}-{task}.claimed")
+    except OSError:
+        return False
+    return True
+
+
+def _break_worker() -> None:
+    """Break the pool worker running this task: a process worker exits;
+    a thread worker raises ``BrokenThreadPool``, the error a broken
+    thread pool reports. The test process's main thread is spared."""
+    if os.getpid() != _MAIN_PID:
+        os._exit(1)
+    if threading.current_thread() is not threading.main_thread():
+        raise BrokenThreadPool("injected worker break")
+
+
+def _raise_once(flag, task):
+    if _claim_task_flag(flag, task):
+        raise ConnectionError(f"transient blip on task {task}")
+    return task
+
+
+def _break_once(flag, task):
+    if _claim_task_flag(flag, task):
+        _break_worker()
+    return task
+
+
+def _stall_once(flag, task):
+    if _claim_task_flag(flag, task):
+        time.sleep(2.0)  # twice the 1 s timeout
+    return task
+
+
+def _break_in_workers(flag, task):
+    _break_worker()
+    return task
+
+
+#: kind -> (task fn, tasks whose first attempt misbehaves, policy,
+#: injected incidents of that kind)
+_INJECTIONS = {
+    "retry": (_raise_once, (1, 2), FaultPolicy(retries=1, backoff=0.0), 2),
+    "worker_crash": (_break_once, (1,),
+                     FaultPolicy(retries=1, backoff=0.0), 1),
+    "timeout": (_stall_once, (1,),
+                FaultPolicy(retries=1, backoff=0.0, timeout=1.0), 1),
+    "degraded": (_break_in_workers, (),
+                 FaultPolicy(backoff=0.0, on_worker_failure="serial"), 1),
+}
+
+_KIND_COUNTERS = {
+    "retry": "executor.retries",
+    "worker_crash": "executor.worker_crashes",
+    "timeout": "executor.timeouts",
+    "degraded": "executor.degraded_runs",
+}
+
+
+class TestFaultRecordsAgree:
+    """Every fault incident lands once in each of the observer's three
+    records: the ``executor.*`` counter, the ``executor.fault`` runlog
+    events, and the ``runtime.<stage>`` span's ``fault_events``."""
+
+    @pytest.mark.parametrize("kind", sorted(_INJECTIONS))
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_counter_events_and_span_match_injected(self, tmp_path,
+                                                    backend, kind):
+        fn, armed, policy, injected = _INJECTIONS[kind]
+        flag = str(tmp_path / "flag")
+        for task in armed:
+            open(f"{flag}-{task}", "w").close()
+        observer = Observer()
+        with Runtime(backend=backend, max_workers=2, chunk_size=1,
+                     observer=observer, faults=policy) as runtime:
+            results = runtime.map(fn, range(4), shared=flag, stage="matrix")
+        assert results == [0, 1, 2, 3]
+
+        counted = observer.metrics.snapshot().get(_KIND_COUNTERS[kind], 0)
+        logged = [event for event in observer.runlog.events
+                  if event["kind"] == "executor.fault"
+                  and event["fault"] == kind]
+        (span,) = observer.tracer.roots
+        assert span.name == "runtime.matrix"
+        on_span = [entry for entry in span.attrs.get("fault_events", [])
+                   if entry["kind"] == kind]
+        assert counted == len(logged) == len(on_span) == injected
 
 
 # --- policy surface and validation -----------------------------------------

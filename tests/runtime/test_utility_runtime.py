@@ -12,6 +12,7 @@ from repro.importance import (
     leave_one_out,
 )
 from repro.ml import KNeighborsClassifier
+from repro.observe import Observer
 from repro.runtime import FingerprintCache, Runtime
 
 
@@ -27,6 +28,10 @@ def _utility(game, runtime=None, **kwargs):
     return Utility(KNeighborsClassifier(3), game["X_train"], game["y_train"],
                    game["X_valid"], game["y_valid"], runtime=runtime,
                    **kwargs)
+
+
+def _root_span_names(observer) -> set:
+    return {span.name for span in observer.tracer.roots}
 
 
 class TestEvaluateMany:
@@ -89,17 +94,22 @@ class TestEvaluateMany:
 
 class TestIntrospection:
     def test_cache_info_shape(self, game):
-        with Runtime(backend="serial", cache=FingerprintCache()) as runtime:
+        observer = Observer()
+        with Runtime(backend="serial", cache=FingerprintCache(),
+                     observer=observer) as runtime:
             utility = _utility(game, runtime=runtime)
             leave_one_out(utility)
             info = utility.cache_info()
         assert info["calls"] == utility.calls > 0
+        assert set(info["runtime"]) == {"backend", "workers", "cache"}
         assert info["runtime"]["backend"] == "serial"
-        assert "leave_one_out" in info["runtime"]["stages"]
+        assert "runtime.leave_one_out" in _root_span_names(observer)
         assert info["runtime"]["cache"]["puts"] > 0
 
     def test_detection_report_surfaces_runtime_stats(self, game):
-        with Runtime(backend="serial", cache=FingerprintCache()) as runtime:
+        observer = Observer()
+        with Runtime(backend="serial", cache=FingerprintCache(),
+                     observer=observer) as runtime:
             utility = _utility(game, runtime=runtime)
             values = leave_one_out(utility)
             report = detection_report(values, game["flipped"],
@@ -110,16 +120,18 @@ class TestIntrospection:
         assert report["utility_calls"] == utility.calls
         assert report["backend"] == "serial"
         assert "cache_hit_rate" in report
-        assert "leave_one_out" in report["stage_seconds"]
+        assert "runtime.leave_one_out" in _root_span_names(observer)
         assert report["wall_time"] == 1.25
         line = format_report(report)
         assert "trainings=" in line and "backend=serial" in line
 
     def test_stage_timings_accumulate(self, game):
-        with Runtime(backend="serial") as runtime:
+        observer = Observer()
+        with Runtime(backend="serial", observer=observer) as runtime:
             utility = _utility(game, runtime=runtime)
             utility.evaluate_many([np.arange(8), np.arange(9), np.arange(10)],
                                   stage="custom.stage")
-            stages = runtime.timings.snapshot()
-        assert stages["custom.stage"]["tasks"] == 3
-        assert stages["custom.stage"]["seconds"] > 0
+        spans = [span for span in observer.tracer.roots
+                 if span.name == "runtime.custom.stage"]
+        assert sum(span.attrs["tasks"] for span in spans) == 3
+        assert sum(span.wall_seconds for span in spans) > 0

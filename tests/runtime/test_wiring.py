@@ -10,6 +10,7 @@ from repro.dataframe import DataFrame
 from repro.datasets import make_blobs
 from repro.errors import inject_label_errors, inject_missing_array
 from repro.ml import LogisticRegression
+from repro.observe import Observer
 from repro.runtime import FingerprintCache, Runtime
 from repro.uncertain import cpclean_greedy
 
@@ -64,7 +65,9 @@ class TestIterativeCleanerRuntime:
     @pytest.mark.parametrize("strategy", ["loo", "shapley_mc", "banzhaf"])
     def test_utility_strategies_run_and_track_quality(self, setting,
                                                       strategy):
-        with Runtime(backend="serial", cache=FingerprintCache()) as runtime:
+        observer = Observer()
+        with Runtime(backend="serial", cache=FingerprintCache(),
+                     observer=observer) as runtime:
             cleaner = IterativeCleaner(
                 LogisticRegression(max_iter=60), strategy,
                 CleaningOracle(setting["clean"]), encode=self._encode,
@@ -75,7 +78,8 @@ class TestIterativeCleanerRuntime:
         assert len(result.scores) == 3
         assert len(result.cleaned_ids) == 20
         # The runtime saw the strategy's utility evaluations.
-        assert runtime.timings.total_seconds() > 0
+        assert observer.metrics.snapshot()["runtime.tasks"] > 0
+        assert observer.tracer.total_seconds() > 0
 
     def test_runtime_does_not_change_trajectory(self, setting):
         def run(runtime):
