@@ -256,6 +256,9 @@ class _PooledExecutor(Executor):
         super().__init__(max_workers)
         self._pool = None
         self._pool_lock = threading.RLock()
+        # Timed-out thread futures whose workers are still busy with
+        # them (future -> pool), across every caller.
+        self._abandoned: dict = {}
 
     @property
     def effective_workers(self) -> int:
@@ -275,6 +278,16 @@ class _PooledExecutor(Executor):
             if self._pool is None:
                 self._pool = self._new_pool()
             return self._pool
+
+    def _workers_held(self) -> bool:
+        """True when abandoned timed-out chunks occupy every worker of
+        the current pool, so no queued chunk can start until one of
+        them returns."""
+        with self._pool_lock:
+            self._abandoned = {future: pool for future, pool
+                               in self._abandoned.items()
+                               if pool is self._pool and not future.done()}
+            return len(self._abandoned) >= self.effective_workers
 
     def _discard_pool(self, pool) -> None:
         """Drop ``pool`` so the next submission builds a fresh one — a
@@ -432,10 +445,15 @@ class _PooledExecutor(Executor):
         def expire_timeouts() -> None:
             # A chunk's clock starts when its future starts running, not
             # at submission: on a shared pool it may first queue behind
-            # other callers' chunks.
+            # other callers' chunks. While abandoned chunks hold every
+            # worker, a queued chunk cannot start, so its clock starts
+            # then instead of never.
             now = time.monotonic()
-            for future, deadline in deadline_of.items():
-                if deadline is None and future.running():
+            unarmed = [future for future, deadline in deadline_of.items()
+                       if deadline is None]
+            held = bool(unarmed) and self._workers_held()
+            for future in unarmed:
+                if held or future.running():
                     deadline_of[future] = now + policy.timeout
             expired = [future for future, deadline in deadline_of.items()
                        if deadline is not None and deadline < now]
@@ -446,7 +464,7 @@ class _PooledExecutor(Executor):
                 error = TimeoutError(
                     f"chunk {idx} exceeded the per-chunk timeout of "
                     f"{policy.timeout:g}s")
-                if self._kills_stuck_workers:
+                if not future.cancel() and self._kills_stuck_workers:
                     # Running in a worker we can only stop by killing the
                     # pool; sibling in-flight chunks are collateral and
                     # get resubmitted without consuming their budgets
@@ -458,9 +476,12 @@ class _PooledExecutor(Executor):
                     for sibling in lost:
                         submit(sibling)
                 else:
-                    # A thread future we must abandon: its worker cannot
-                    # be interrupted (the task is pure, so a duplicate
-                    # completion is harmless).
+                    # Never started (cancelled above), or a thread future
+                    # we must abandon: its worker cannot be interrupted
+                    # (the task is pure, so a duplicate completion is
+                    # harmless), and it holds that worker until it returns.
+                    with self._pool_lock:
+                        self._abandoned[future] = pool
                     task_failure(idx, error)
 
         try:

@@ -19,6 +19,7 @@ from repro.runtime import (
     FingerprintCache,
     ProcessExecutor,
     Runtime,
+    TaskError,
     ThreadExecutor,
     flush_all,
     register_shutdown_flush,
@@ -289,9 +290,7 @@ class TestSharedPoolFaults:
                                         timeout=1.5),
                      fault_hook=faults.append),
                 # 2 s of work on the one free worker: still running when
-                # the stuck worker is killed, and done soon enough after
-                # that for the stuck chunk's retry, queued behind it,
-                # to start within its own timeout
+                # the stuck worker is killed, so its chunks are lost too
                 dict(fn=_slow_affine, tasks=range(8), chunk_size=1,
                      shared=(2, 0, None, (0.25,) * 8),
                      faults=FaultPolicy(retries=1, backoff=0.0),
@@ -350,6 +349,60 @@ class TestSharedPoolFaults:
         finally:
             executor.close()
         assert results == {"first": [0, 2, 4, 6, 8], "second": [1]}
+
+    # A timed-out thread chunk is abandoned but keeps its worker busy.
+    # Once such chunks hold every worker, nothing queued can start, so
+    # a queued chunk's clock starts then: a map whose task never
+    # returns still ends in TaskError.
+
+    def test_thread_retry_queued_behind_its_own_stuck_chunk_times_out(self):
+        executor = ThreadExecutor(max_workers=1)
+        gate = threading.Event()
+        faults = []
+        started = time.monotonic()
+        try:
+            with pytest.raises(TaskError) as info:
+                executor.map(_gated, range(1), shared=gate,
+                             faults=FaultPolicy(retries=1, backoff=0.0,
+                                                timeout=0.3),
+                             fault_hook=faults.append)
+            elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+            executor.close()
+        assert info.value.attempts == 2
+        assert elapsed < 5.0
+        assert [event.kind for event in faults] == ["timeout", "timeout"]
+
+    def test_thread_chunk_queued_behind_another_callers_stuck_chunk_times_out(
+            self):
+        executor = ThreadExecutor(max_workers=1)
+        gate = threading.Event()
+        policy = FaultPolicy(retries=0, backoff=0.0, timeout=0.3)
+        errors = {}
+
+        def run(tag, fn, shared):
+            try:
+                executor.map(fn, range(1), shared=shared, faults=policy)
+            except TaskError as error:
+                errors[tag] = error
+
+        stuck = threading.Thread(target=run, args=("stuck", _gated, gate),
+                                 daemon=True)
+        queued = threading.Thread(target=run,
+                                  args=("queued", _affine, (3, 1)),
+                                  daemon=True)
+        try:
+            stuck.start()
+            time.sleep(0.05)  # the stuck chunk takes the only worker
+            queued.start()
+            stuck.join(timeout=5)
+            queued.join(timeout=5)
+            assert not stuck.is_alive() and not queued.is_alive()
+        finally:
+            gate.set()
+            executor.close()
+        assert set(errors) == {"stuck", "queued"}
 
     def test_late_discard_keeps_the_rebuilt_pool(self):
         executor = ThreadExecutor(max_workers=1)
