@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.thread import BrokenThreadPool
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +36,8 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 BACKENDS = ["serial", "thread", "process"]
 
 
-class WorkerCrash(BaseException):
-    """Kills a reader worker thread (escapes its ``except Exception``)."""
-
-
-@pytest.fixture(autouse=True)
-def quiet_crash_tracebacks(monkeypatch):
-    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+class WorkerCrash(BrokenThreadPool):
+    """A read that breaks the reader's thread pool."""
 
 
 class CrashOnce:
