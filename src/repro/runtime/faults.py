@@ -87,8 +87,9 @@ class FaultPolicy:
         Optional per-chunk wall-clock limit in seconds, enforced by the
         pooled backends. A timed-out chunk consumes one retry; on the
         process backend the stuck worker is killed and the pool rebuilt
-        (thread workers cannot be interrupted — the future is abandoned
-        and the chunk resubmitted). Ignored by the serial backend, which
+        (thread workers cannot be interrupted — the future is abandoned,
+        a new worker takes its thread's place, and the chunk is
+        resubmitted). Ignored by the serial backend, which
         cannot preempt itself.
     on_worker_failure:
         Strategy when the process pool itself breaks (a worker died):

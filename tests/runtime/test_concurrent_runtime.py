@@ -350,10 +350,9 @@ class TestSharedPoolFaults:
             executor.close()
         assert results == {"first": [0, 2, 4, 6, 8], "second": [1]}
 
-    # A timed-out thread chunk is abandoned but keeps its worker busy.
-    # Once such chunks hold every worker, nothing queued can start, so
-    # a queued chunk's clock starts then: a map whose task never
-    # returns still ends in TaskError.
+    # A timed-out thread chunk is abandoned: its thread keeps running,
+    # but a new worker takes its place. A map whose task never returns
+    # still ends in TaskError, and chunks queued behind it still run.
 
     def test_thread_retry_queued_behind_its_own_stuck_chunk_times_out(self):
         executor = ThreadExecutor(max_workers=1)
@@ -374,18 +373,19 @@ class TestSharedPoolFaults:
         assert elapsed < 5.0
         assert [event.kind for event in faults] == ["timeout", "timeout"]
 
-    def test_thread_chunk_queued_behind_another_callers_stuck_chunk_times_out(
+    def test_thread_chunk_queued_behind_another_callers_stuck_chunk_runs(
             self):
         executor = ThreadExecutor(max_workers=1)
         gate = threading.Event()
         policy = FaultPolicy(retries=0, backoff=0.0, timeout=0.3)
-        errors = {}
+        outcomes = {}
 
         def run(tag, fn, shared):
             try:
-                executor.map(fn, range(1), shared=shared, faults=policy)
+                outcomes[tag] = executor.map(fn, range(1), shared=shared,
+                                             faults=policy)
             except TaskError as error:
-                errors[tag] = error
+                outcomes[tag] = error
 
         stuck = threading.Thread(target=run, args=("stuck", _gated, gate),
                                  daemon=True)
@@ -402,7 +402,8 @@ class TestSharedPoolFaults:
         finally:
             gate.set()
             executor.close()
-        assert set(errors) == {"stuck", "queued"}
+        assert isinstance(outcomes["stuck"], TaskError)
+        assert outcomes["queued"] == [1]
 
     def test_late_discard_keeps_the_rebuilt_pool(self):
         executor = ThreadExecutor(max_workers=1)
