@@ -7,8 +7,8 @@ Two claims behind ``repro.runtime.checkpoint``:
    the stored marginals (no retraining) and only evaluates the
    remaining permutations — and the resumed scores are *hex-identical*
    to the uninterrupted run. Artifact: ``results/t14_resume.txt``.
-2. **Checkpointing is cheap.** Publishing an atomic snapshot costs a
-   bounded few milliseconds per record (mkstemp + fsync + rename), so
+2. **Checkpointing is cheap.** A durable snapshot costs a bounded
+   few milliseconds per record (one journal append + fdatasync), so
    at real workload sizes — seconds per permutation — the overhead is
    noise; the scores are bit-for-bit unchanged by the presence of a
    checkpoint.
@@ -21,6 +21,7 @@ from repro.importance import MonteCarloShapley, Utility
 from repro.ml import LogisticRegression
 from repro.observe import Observer
 from repro.runtime.checkpoint import CheckpointStore
+from tests.journal import keep_only_oldest
 
 from .conftest import write_result
 
@@ -36,13 +37,11 @@ def _utility():
 
 
 def _simulate_kill(store_dir) -> int:
-    """Delete all but the *oldest* retained record — the on-disk state a
-    SIGKILL would have left a few flushes ago. Returns the completed
-    count recorded in the surviving snapshot."""
-    store = CheckpointStore(store_dir)
-    for path in store.record_paths()[1:]:
-        path.unlink()
-    record = store.load_latest()
+    """Keep only the oldest of the newest three records — the on-disk
+    state a SIGKILL would have left two flushes ago. Returns the
+    completed count recorded in the surviving snapshot."""
+    keep_only_oldest(store_dir)
+    record = CheckpointStore(store_dir).load_latest()
     return record.payload["completed"]
 
 
@@ -126,7 +125,7 @@ def test_t14_checkpoint_overhead(benchmark, results_dir, tmp_path):
         f"sweep (no checkpoint, best of 3):   {plain:.4f}s",
         f"sweep (checkpointed, best of 3):    {checkpointed:.4f}s",
         f"per record: {per_record * 1e3:.2f}ms "
-        f"({n_records} atomic records per sweep; fsync-bound)",
+        f"({n_records} journal appends per sweep; fdatasync-bound)",
         "checkpointed scores hex-identical to the plain sweep",
         "",
         "at real workload sizes (seconds per permutation) the per-record",

@@ -483,6 +483,17 @@ class ShardedDataset:
         self.mirror: bool = bool(payload.get("mirror", False))
         self.n_rows: int = int(payload["n_rows"])
 
+    def __getstate__(self) -> dict:
+        # A pickled handle (a process-pool task's shared payload) is its
+        # manifest alone: observers hold locks and a runlog.
+        state = self.__dict__.copy()
+        del state["observer"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.observer = resolve_observer(None)
+
     @property
     def n_shards(self) -> int:
         return len(self.shards)

@@ -17,7 +17,8 @@ it". This package turns that loop into shared infrastructure:
   budget to its stage and chunk.
 - :mod:`~repro.runtime.checkpoint` makes long jobs survive *driver*
   death: :class:`CheckpointStore` is a durable, crash-safe snapshot
-  store (atomic write-rename, content hash, schema version per record)
+  store (one fdatasync'ed journal line, content hash and schema version
+  per record)
   and every long-running loop accepts ``checkpoint=`` / ``resume_from=``
   for bit-identical resumption after a kill.
 - :class:`Runtime` bundles them into the single ``runtime=`` handle

@@ -14,11 +14,12 @@ uninterrupted run, on any backend.
 Three layers:
 
 - :class:`CheckpointStore` — a crash-safe, append-only record store.
-  Every record is one file, published atomically and self-verifying
-  (the schema-versioned SHA-256 envelope of
-  :mod:`repro.runtime.durable`). A truncated or garbled record is
-  *detected*, surfaced as an ``executor.checkpoint_corrupt`` runlog
-  event, and skipped in favour of the last good record — never a crash.
+  Every record is one self-verifying line (the schema-versioned SHA-256
+  envelope of :mod:`repro.runtime.durable`) of one journal file per
+  store, appended under a file lock and made durable with one
+  ``fdatasync``. A truncated or garbled record is *detected*, surfaced
+  as an ``executor.checkpoint_corrupt`` runlog event, and skipped in
+  favour of the last good record — never a crash.
 - :class:`Checkpointable` — the protocol a resumable loop speaks:
   ``checkpoint_kind`` names the payload schema, ``checkpoint_state()``
   snapshots completed work, ``restore_state()`` replays a snapshot.
@@ -39,6 +40,9 @@ restored marginals/scores are *bitwise* identical to the originals.
 from __future__ import annotations
 
 import contextlib
+import fcntl
+import itertools
+import json
 import os
 import re
 import signal
@@ -53,9 +57,12 @@ from repro.observe.observer import resolve_observer
 from repro.observe.runlog import jsonable
 from repro.runtime.durable import (
     IntegrityError,
+    append,
+    decode_envelope,
     encode_envelope,
     publish,
     read_envelope,
+    sync_dir,
 )
 
 __all__ = [
@@ -77,14 +84,50 @@ __all__ = [
 #: like a corrupt record: skip it, fall back to the last good one.
 CHECKPOINT_SCHEMA = 1
 
-#: A record's file name: its zero-padded sequence number. Other files in
-#: the store directory (a stray ``ckpt-backup.json``) are not records.
-_RECORD_NAME = re.compile(r"ckpt-(\d{8,})\.json")
+#: The store's journal: one record per line.
+_JOURNAL_NAME = "records.jsonl"
 
-#: Sentinel: a record file listed but gone by read time — a concurrent
-#: worker pruned it. Distinct from ``None`` (corrupt) so shared-store
-#: races never inflate the ``checkpoint.corrupt_records`` counter.
-_VANISHED = object()
+#: Records a journal may hold beyond ``keep`` before a write compacts it.
+_COMPACT_SLACK = 64
+
+#: A record file of the one-file-per-record layout earlier releases
+#: wrote (zero-padded seq); read on resume, never written. Other files
+#: in the store directory (a stray ``ckpt-backup.json``) are not records.
+_LEGACY_RECORD = re.compile(r"ckpt-(\d{8,})\.json")
+
+# Journal descriptors this process holds open. A flock belongs to the
+# open file, which a fork shares with the child: a process-pool worker
+# forked while a write holds the lock would keep it for its whole life
+# and block every later writer. So opening or closing a journal is
+# atomic with respect to fork, and a forked child closes its copies.
+_JOURNAL_FDS: set[int] = set()
+_JOURNAL_FDS_LOCK = threading.Lock()
+
+
+def _open_journal(path: Path, flags: int) -> int:
+    with _JOURNAL_FDS_LOCK:
+        fd = os.open(path, flags, 0o644)
+        _JOURNAL_FDS.add(fd)
+    return fd
+
+
+def _close_journal(fd: int) -> None:
+    with _JOURNAL_FDS_LOCK:
+        _JOURNAL_FDS.discard(fd)
+        os.close(fd)
+
+
+def _close_journals_in_child() -> None:
+    for fd in _JOURNAL_FDS:
+        with contextlib.suppress(OSError):
+            os.close(fd)
+    _JOURNAL_FDS.clear()
+    _JOURNAL_FDS_LOCK.release()  # taken by the forking thread
+
+
+os.register_at_fork(before=_JOURNAL_FDS_LOCK.acquire,
+                    after_in_parent=_JOURNAL_FDS_LOCK.release,
+                    after_in_child=_close_journals_in_child)
 
 
 @dataclass(frozen=True)
@@ -131,18 +174,27 @@ class CheckpointStore:
         one resumable job (records carry a ``kind`` so a mismatched
         store is detected, not silently resumed).
     keep:
-        Newest records retained per :meth:`write`; older ones are
-        pruned. ``keep >= 2`` means a record corrupted *after* landing
-        on disk still leaves a good predecessor to fall back to.
+        Newest records a compaction retains. The journal holds at most
+        ``keep`` + 64 records; the write that crosses that bound
+        rewrites it to its newest ``keep``. ``keep >= 2`` means a record
+        corrupted *after* landing on disk still leaves a good
+        predecessor to fall back to.
     observer:
         Default :class:`repro.observe.Observer` for write/restore
         accounting; individual calls may override it.
 
-    Every record is published with :func:`repro.runtime.durable.publish`,
-    so a reader (or a resumed run) never observes a half-written record,
-    and framed by :func:`~repro.runtime.durable.encode_envelope` (schema
-    version + SHA-256 of the payload); :meth:`load_latest` verifies both
-    and falls back past corrupt records instead of crashing.
+    Records are lines of one journal file, ``records.jsonl``, each one
+    :func:`~repro.runtime.durable.encode_envelope` document (schema
+    version + SHA-256 of the payload). A write appends one line under an
+    exclusive ``flock`` and ``fdatasync``s it: no temp file, rename,
+    directory listing or unlink. Sequence numbers increase strictly
+    across every handle and process sharing the directory, so the last
+    line is the last write. :meth:`load_latest` verifies each line and
+    falls back past corrupt ones instead of crashing; a line torn by a
+    killed writer is cut off by the next write. A directory written
+    before the journal existed holds one ``ckpt-<seq>.json`` file per
+    record: those still load, and the journal continues their sequence,
+    but nothing writes them any more.
     """
 
     def __init__(self, path: str | os.PathLike, *, keep: int = 3,
@@ -151,116 +203,219 @@ class CheckpointStore:
             raise ValidationError("keep must be >= 1")
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
+        self.journal = self.path / _JOURNAL_NAME
         self.keep = keep
         self.observer = resolve_observer(observer)
         self._lock = threading.Lock()
-
-    # -- record files ------------------------------------------------------
-    def record_paths(self) -> list[Path]:
-        """Record files (``ckpt-<seq>.json``) in sequence order, oldest
-        first; files with any other name are ignored."""
-        paths = [path for path in self.path.glob("ckpt-*.json")
-                 if _RECORD_NAME.fullmatch(path.name)]
-        # Shorter digit strings are smaller numbers: numeric order.
-        return sorted(paths, key=lambda path: (len(path.name), path.name))
+        # (journal stat key, seq, lines) right after this handle's last
+        # append: while the journal still matches the key, no other
+        # writer touched it, so the next seq needs no read.
+        self._tail: tuple[tuple, int, int] | None = None
 
     def __len__(self) -> int:
-        return len(self.record_paths())
-
-    def _next_seq(self) -> int:
-        paths = self.record_paths()
-        return int(_RECORD_NAME.fullmatch(paths[-1].name)[1]) + 1 \
-            if paths else 0
+        """Records on disk: complete journal lines plus legacy files."""
+        return self._read_journal().count(b"\n") + len(self._legacy_paths())
 
     # -- write -------------------------------------------------------------
     def write(self, kind: str, payload: dict, *,
               observer=None) -> CheckpointRecord:
-        """Atomically publish one record; prunes beyond ``keep``.
+        """Durably append one record; compacts past ``keep`` + 64.
 
         The payload is JSON-serialized (numpy scalars/arrays coerced via
         :func:`repro.observe.jsonable`), content-hashed, and wrapped in
-        a schema-versioned envelope. :func:`repro.runtime.durable.publish`
-        guarantees a crash mid-write leaves the previous record intact
-        and never a half-record under the final name.
+        a schema-versioned envelope, one line of the journal. A crash
+        mid-append leaves every earlier record intact; the torn line is
+        skipped on load and cut off by the next write.
         """
         observer = self.observer if observer is None \
             else resolve_observer(observer)
         payload = jsonable(payload)
-        with self._lock:
-            seq = self._next_seq()
-            data = encode_envelope(CHECKPOINT_SCHEMA, payload, seq=seq,
-                                   kind=kind)
-            final = self.path / f"ckpt-{seq:08d}.json"
-            publish(final, data)
-            self._prune()
-        if observer.enabled:
-            observer.count("checkpoint.writes")
-            observer.count("checkpoint.bytes", len(data))
-        return CheckpointRecord(seq=seq, kind=kind, payload=payload,
-                                path=final)
+        if not observer.enabled:
+            return self._append(kind, payload, observer)[0]
+        with observer.span("checkpoint.write"):
+            record, size = self._append(kind, payload, observer)
+        observer.count("checkpoint.writes")
+        observer.count("checkpoint.bytes", size)
+        return record
 
-    def _prune(self) -> None:
-        # Two resuming workers may share one store; whoever prunes
-        # second finds the stale record already gone, which _unlink
-        # makes a no-op instead of a crash.
-        _unlink(self.record_paths()[:-self.keep])
+    def _append(self, kind: str, payload: dict,
+                observer) -> tuple[CheckpointRecord, int]:
+        with self._lock:
+            fd, stat, created = self._open_locked()
+            try:
+                tail = self._tail
+                if tail is not None and tail[0] == _stat_key(stat):
+                    seq, lines = tail[1] + 1, tail[2]
+                else:
+                    data = os.pread(fd, stat.st_size, 0)
+                    end = data.rfind(b"\n") + 1
+                    if end < len(data):  # a writer was killed mid-append
+                        os.ftruncate(fd, end)
+                        data = data[:end]
+                    seq, lines = self._last_seq(data) + 1, data.count(b"\n")
+                envelope = encode_envelope(CHECKPOINT_SCHEMA, payload,
+                                           seq=seq, kind=kind)
+                append(fd, envelope + b"\n")
+                if created:
+                    sync_dir(self.path)
+                if lines + 1 > self.keep + _COMPACT_SLACK:
+                    self._compact(fd, observer)
+                else:
+                    self._tail = (_stat_key(os.fstat(fd)), seq, lines + 1)
+            finally:
+                _close_journal(fd)  # releases the flock
+        return (CheckpointRecord(seq=seq, kind=kind, payload=payload,
+                                 path=self.journal), len(envelope))
+
+    def _open_locked(self) -> tuple[int, os.stat_result, bool]:
+        """Open the journal for appending under an exclusive ``flock``:
+        ``(fd, stat, created)``. Reopens when a compaction (or
+        :meth:`clear`) replaced the file while this call waited."""
+        while True:
+            created = False
+            try:
+                fd = _open_journal(self.journal, os.O_RDWR | os.O_APPEND)
+            except FileNotFoundError:
+                fd = _open_journal(self.journal,
+                                   os.O_RDWR | os.O_APPEND | os.O_CREAT)
+                created = True
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                stat = os.fstat(fd)
+                if os.path.samestat(stat, os.stat(self.journal)):
+                    return fd, stat, created
+            except FileNotFoundError:
+                pass  # cleared while we waited: create it afresh
+            except BaseException:
+                _close_journal(fd)
+                raise
+            _close_journal(fd)
+
+    def _last_seq(self, data: bytes) -> int:
+        """The newest seq in ``data`` (journal bytes), else the newest
+        legacy record file's, else -1."""
+        for line in reversed(data.splitlines()):
+            with contextlib.suppress(ValueError):
+                envelope = json.loads(line)
+                if isinstance(envelope, dict) \
+                        and isinstance(envelope.get("seq"), int):
+                    return envelope["seq"]
+        paths = self._legacy_paths()
+        return _legacy_seq(paths[-1]) if paths else -1
+
+    def _compact(self, fd: int, observer) -> None:
+        """Rewrite the journal (locked on ``fd``) to its newest ``keep``
+        lines through :func:`~repro.runtime.durable.publish`."""
+        with observer.span("checkpoint.compact"):
+            lines = os.pread(fd, os.fstat(fd).st_size, 0).splitlines(True)
+            publish(self.journal, b"".join(lines[-self.keep:]))
+        # A writer may append to the new file as soon as it is in
+        # place, so this handle's next write reads the tail again.
+        self._tail = None
+        if observer.enabled:
+            observer.count("checkpoint.compactions")
 
     # -- read --------------------------------------------------------------
-    def _load(self, path: Path) -> CheckpointRecord | None:
-        """Decode and verify one record file; ``None`` when corrupt,
-        :data:`_VANISHED` when the file disappeared between listing and
-        reading (a concurrent worker's prune — not corruption)."""
+    def _read_journal(self) -> bytes:
+        """The journal's bytes under a shared ``flock`` (no append is
+        ever half-visible); empty when there is no journal."""
         try:
-            envelope, payload = read_envelope(path, CHECKPOINT_SCHEMA)
+            fd = _open_journal(self.journal, os.O_RDONLY)
         except FileNotFoundError:
-            return _VANISHED
-        except (OSError, IntegrityError):
-            return None
-        return CheckpointRecord(seq=int(envelope.get("seq", 0)),
-                                kind=str(envelope.get("kind", "")),
-                                payload=payload, path=path)
+            return b""
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+            return os.pread(fd, os.fstat(fd).st_size, 0)
+        finally:
+            _close_journal(fd)
+
+    def _legacy_paths(self) -> list[Path]:
+        """Record files of the one-file-per-record layout, oldest first;
+        files with any other name are ignored."""
+        paths = [path for path in self.path.glob("ckpt-*.json")
+                 if _LEGACY_RECORD.fullmatch(path.name)]
+        return sorted(paths, key=_legacy_seq)
 
     def load_latest(self, kind: str | None = None, *,
                     observer=None) -> CheckpointRecord | None:
         """Newest verified record (optionally of one ``kind``).
 
-        Records failing verification — unreadable, truncated, hash
-        mismatch, unknown schema — are each surfaced as an
-        ``executor.checkpoint_corrupt`` runlog event plus a
-        ``checkpoint.corrupt_records`` counter bump, then skipped: the
-        newest *good* record wins. Returns ``None`` when no good record
-        exists.
+        Walks the journal newest line first. Records failing
+        verification — unreadable, truncated, hash mismatch, unknown
+        schema — are each surfaced as an ``executor.checkpoint_corrupt``
+        runlog event (naming the journal and the line's byte offset)
+        plus a ``checkpoint.corrupt_records`` counter bump, then
+        skipped: the newest *good* record wins. With no good record of
+        ``kind`` in the journal, the newest verifying legacy
+        ``ckpt-<seq>.json`` file is used. Returns ``None`` when no good
+        record exists.
         """
         observer = self.observer if observer is None \
             else resolve_observer(observer)
-        for path in reversed(self.record_paths()):
-            record = self._load(path)
-            if record is _VANISHED:
-                continue  # concurrently pruned, not corrupt
-            if record is None:
-                if observer.enabled:
-                    observer.count("checkpoint.corrupt_records")
-                    observer.event("executor.checkpoint_corrupt",
-                                   fault="checkpoint_corrupt",
-                                   path=str(path), store=str(self.path))
+        try:
+            data = self._read_journal()
+        except OSError:
+            _count_corrupt(observer, self, self.journal, offset=None)
+            data = b""
+        lines = data.split(b"\n")
+        offsets = list(itertools.accumulate(
+            (len(line) + 1 for line in lines), initial=0))
+        for offset, line in zip(reversed(offsets[:-1]), reversed(lines)):
+            if offset == len(data):
+                continue  # the empty split after the final newline
+            try:
+                envelope, payload = decode_envelope(line, CHECKPOINT_SCHEMA)
+            except IntegrityError:
+                _count_corrupt(observer, self, self.journal, offset=offset)
                 continue
-            if kind is not None and record.kind != kind:
+            if kind is None or envelope.get("kind") == kind:
+                return _record(envelope, payload, self.journal)
+        for path in reversed(self._legacy_paths()):
+            try:
+                envelope, payload = read_envelope(path, CHECKPOINT_SCHEMA)
+            except FileNotFoundError:
+                continue  # removed since listing (a concurrent clear)
+            except (OSError, IntegrityError):
+                _count_corrupt(observer, self, path)
                 continue
-            return record
+            if kind is None or envelope.get("kind") == kind:
+                return _record(envelope, payload, path)
         return None
 
     def clear(self) -> None:
         """Delete every record (a finished job's store can be reused)."""
-        _unlink(self.record_paths())
+        for path in (self.journal, *self._legacy_paths()):
+            with contextlib.suppress(FileNotFoundError):
+                path.unlink()
+        self._tail = None
 
     def __repr__(self) -> str:
         return f"CheckpointStore({str(self.path)!r}, records={len(self)})"
 
 
-def _unlink(paths) -> None:
-    for path in paths:
-        with contextlib.suppress(OSError):
-            path.unlink()
+def _stat_key(stat: os.stat_result) -> tuple:
+    """What changes whenever anyone appends to, truncates or replaces
+    the journal."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _legacy_seq(path: Path) -> int:
+    return int(_LEGACY_RECORD.fullmatch(path.name)[1])
+
+
+def _record(envelope: dict, payload, path: Path) -> CheckpointRecord:
+    return CheckpointRecord(seq=int(envelope.get("seq", 0)),
+                            kind=str(envelope.get("kind", "")),
+                            payload=payload, path=path)
+
+
+def _count_corrupt(observer, store: CheckpointStore, path: Path,
+                   **where) -> None:
+    if observer.enabled:
+        observer.count("checkpoint.corrupt_records")
+        observer.event("executor.checkpoint_corrupt",
+                       fault="checkpoint_corrupt", path=str(path),
+                       store=str(store.path), **where)
 
 
 def resolve_checkpoint_store(store, *, observer=None) -> CheckpointStore | None:

@@ -1,12 +1,15 @@
-"""Durable files: one atomic publish, one verified envelope, one checksum read.
+"""Durable files: one atomic publish, one durable append, one verified
+envelope, one checksum read.
 
-Checkpoint records, shard files, their ``mirror/`` replicas and the
-dataset manifests are written with :func:`publish` and read back through
-:func:`read_envelope` or :func:`read_verified`, so the on-disk format
-lives here alone. A file failing verification raises
-:class:`IntegrityError` naming the reason; each caller maps it to its
-own policy. The fingerprint cache's disk tier is atomic but deliberately
-not durable (no fsync: a lost entry costs one recomputation).
+Shard files, their ``mirror/`` replicas, the dataset manifests and a
+compacted checkpoint journal are written whole with :func:`publish`;
+checkpoint records are added to their journal with :func:`append`. They
+are read back through :func:`read_envelope`, :func:`decode_envelope` or
+:func:`read_verified`, so the on-disk format lives here alone. A file or
+record failing verification raises :class:`IntegrityError` naming the
+reason; each caller maps it to its own policy. The fingerprint cache's
+disk tier is atomic but deliberately not durable (no fsync: a lost
+entry costs one recomputation).
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from pathlib import Path
 
 from repro.core.exceptions import ReproError
 
-__all__ = ["IntegrityError", "encode_envelope", "publish", "read_envelope",
-           "read_verified"]
+__all__ = ["IntegrityError", "append", "decode_envelope", "encode_envelope",
+           "publish", "read_envelope", "read_verified", "sync_dir"]
 
 #: Test seam: seconds to sleep between fsyncing the temp file and renaming
-#: it into place, so torn-write tests can SIGKILL deterministically inside
-#: the publish window. Never set outside the test suite.
+#: it into place, and between the two halves of an :func:`append`, so
+#: torn-write tests can SIGKILL deterministically inside the write
+#: window. Never set outside the test suite.
 _SLOW_PUBLISH_ENV = "REPRO_DATA_SLOW_PUBLISH"
 
 
@@ -57,12 +61,45 @@ def publish(path: str | os.PathLike, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    with contextlib.suppress(OSError):  # not every platform opens dirs
-        dir_fd = os.open(path.parent, os.O_RDONLY)
+    sync_dir(path.parent)
+
+
+def sync_dir(path: str | os.PathLike) -> None:
+    """fsync a directory so a new or renamed entry in it is durable
+    (best effort: not every platform opens directories)."""
+    with contextlib.suppress(OSError):
+        dir_fd = os.open(path, os.O_RDONLY)
         try:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
+
+
+def append(fd: int, data: bytes) -> None:
+    """Append ``data`` to the file open on ``fd`` (``O_APPEND``), then
+    ``fdatasync`` it. A write that fails part-way cuts the file back to
+    its length before the call, so it leaves no torn tail; a process
+    killed part-way does leave one, which the reader must tolerate."""
+    start = os.fstat(fd).st_size
+    view = memoryview(data)
+    try:
+        delay = os.environ.get(_SLOW_PUBLISH_ENV)
+        if delay:  # torn-write test seam: stall with half the data written
+            half = len(view) // 2
+            _write_all(fd, view[:half])
+            time.sleep(float(delay))
+            view = view[half:]
+        _write_all(fd, view)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, start)
+        raise
+    os.fdatasync(fd)
+
+
+def _write_all(fd: int, view: memoryview) -> None:
+    while view:  # a regular file may take a short write (e.g. near ENOSPC)
+        view = view[os.write(fd, view):]
 
 
 def encode_envelope(schema: int, payload, **header) -> bytes:
@@ -81,8 +118,15 @@ def read_envelope(path: str | os.PathLike, schema: int) -> tuple[dict, object]:
     Raises :class:`IntegrityError` unless the file is an intact envelope
     of ``schema``; ``OSError`` from reading propagates.
     """
+    return decode_envelope(Path(path).read_bytes(), schema)
+
+
+def decode_envelope(data: bytes, schema: int) -> tuple[dict, object]:
+    """Verify envelope bytes: ``(envelope, decoded payload)``; raises
+    :class:`IntegrityError` unless ``data`` is an intact envelope of
+    ``schema``."""
     try:
-        envelope = json.loads(Path(path).read_bytes())
+        envelope = json.loads(data)
     except ValueError as error:
         raise IntegrityError(f"garbled JSON: {error}") from error
     if not isinstance(envelope, dict):

@@ -6,10 +6,11 @@ lease is the standard answer: a durable record saying "``owner`` holds
 ``job_id``", renewed by heartbeat, adoptable once it stops being
 renewed for a full ``ttl``. It is persisted through the same crash-safe
 :class:`~repro.runtime.CheckpointStore` machinery the job checkpoints
-use (atomic write + content hash + fall-back-past-corrupt), one store
-per job, so a SIGKILLed worker leaves behind exactly two artifacts — a
-stale lease and a valid checkpoint — and adoption is: wait out the
-lease, re-acquire it at a higher epoch, resume the checkpoint.
+use (durable journal append + content hash + fall-back-past-corrupt),
+one store per job, so a SIGKILLed worker leaves behind exactly two
+artifacts — a stale lease and a valid checkpoint — and adoption is:
+wait out the lease, re-acquire it at a higher epoch, resume the
+checkpoint.
 
 Epochs fence stale owners: every acquisition increments ``epoch``, and
 every heartbeat verifies the stored record still carries the caller's
@@ -169,9 +170,11 @@ class LeaseManager:
 
         Acquisition is write-then-verify: write a record at the next
         epoch, re-read the newest record, and only claim victory if it
-        is ours — so when two processes race, exactly one wins (the
-        store's sequence numbers order the writes; last write wins and
-        the loser observes it).
+        is ours — so when two processes race, exactly one wins (each
+        write is one line appended to the store's journal under its
+        file lock, so the journal's order is the writes' order and its
+        sequence numbers rise strictly; last write wins and the loser
+        observes it).
         """
         store = self._store(job_id)
         record = store.load_latest(LEASE_KIND)

@@ -50,15 +50,18 @@ def _fit_shard_from_disk_task(shared, task):
     """Out-of-core shard training task: load exactly one data shard
     (checksum-verified) and fit on its surviving rows.
 
-    ``shared`` is ``(model_prototype, dataset_path, features, label)`` —
-    a path, not arrays, so the process backend ships no training data;
-    each worker holds one shard resident at a time.
+    ``shared`` is ``(model_prototype, dataset, features, label)``. The
+    open :class:`~repro.data.ShardedDataset` pickles as its manifest
+    alone (no arrays, no observer), so the process backend ships no
+    training data; each worker holds one shard resident at a time.
+    Retrain reads are not counted as ``data.shards_read``: that count
+    is the reading service's.
     """
-    from repro.data.shards import ShardedDataset
+    from repro.observe.observer import NULL_OBSERVER
 
-    model, path, features, label = shared
+    model, dataset, features, label = shared
     shard, members_local = task
-    arrays = ShardedDataset(path).load_shard(shard)
+    arrays = dataset.load_shard(shard, observer=NULL_OBSERVER)
     return _fit_members(model, arrays[features], arrays[label],
                         np.asarray(members_local, dtype=int))
 
@@ -153,7 +156,7 @@ class ShardedUnlearner:
         self._unlearn_calls += 1
         self._ckpt.arm(lambda: {
             "completed": self._unlearn_calls,
-            "deleted": [int(i) for i in np.flatnonzero(~self._alive)],
+            "deleted": self._deleted,
             "retrain_counter": int(self.retrain_counter_)})
         self._ckpt.flush()
 
@@ -191,6 +194,7 @@ class ShardedUnlearner:
         self.models_ = [None] * self.n_shards
         self.retrain_counter_ = 0
         self._unlearn_calls = 0
+        self._deleted: list[int] = []  # the deletion log, in request order
         restored = None
         if self.checkpoint is not None or self.resume_from is not None:
             self._ckpt = self._open_checkpointer(
@@ -200,7 +204,7 @@ class ShardedUnlearner:
             # Re-apply the recorded deletions *before* the initial shard
             # training: SISA exactness means training the shards once on
             # the surviving rows reproduces the interrupted ensemble.
-            deleted = [int(i) for i in restored["deleted"]]
+            deleted = self._deleted = [int(i) for i in restored["deleted"]]
             self._alive[deleted] = False
             self._ckpt.record_skipped(
                 completed=int(restored["completed"]),
@@ -255,13 +259,14 @@ class ShardedUnlearner:
         self.models_ = [None] * self.n_shards
         self.retrain_counter_ = 0
         self._unlearn_calls = 0
+        self._deleted = []
         restored = None
         if self.checkpoint is not None or self.resume_from is not None:
             self._ckpt = self._open_checkpointer(
                 [info.sha256 for info in dataset.shards], features, label)
             restored = self._ckpt.resume()
         if restored is not None:
-            deleted = [int(i) for i in restored["deleted"]]
+            deleted = self._deleted = [int(i) for i in restored["deleted"]]
             self._alive[deleted] = False
             self._ckpt.record_skipped(
                 completed=int(restored["completed"]),
@@ -322,8 +327,7 @@ class ShardedUnlearner:
             stop = start + self._dataset.shards[shard].rows
             tasks.append((int(shard),
                           np.flatnonzero(self._alive[start:stop])))
-        shared = (self.model, str(self._dataset.path),
-                  self._features, self._label)
+        shared = (self.model, self._dataset, self._features, self._label)
         if self.runtime is not None and len(tasks) > 1:
             fitted = self.runtime.map(_fit_shard_from_disk_task, tasks,
                                       shared=shared, stage="sharded.train")
@@ -349,6 +353,7 @@ class ShardedUnlearner:
         for i in indices:
             if self._alive[i]:
                 self._alive[i] = False
+                self._deleted.append(int(i))
                 deleted += 1
                 touched.add(int(self._shard_of[i]))
         with self.observer.span("sharded.unlearn", rows=deleted,

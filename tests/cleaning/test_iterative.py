@@ -116,11 +116,10 @@ class TestCheckpointResume:
     def test_resume_reproduces_trajectory(self, setting, tmp_path):
         ref = self._run(setting, self._cleaner(setting))
         self._run(setting, self._cleaner(setting, checkpoint=tmp_path))
-        # Keep only the oldest record: simulates a kill after round 2
-        # (keep=3 means records for rounds 2, 3, 4 exist).
-        from repro.runtime import CheckpointStore
-        for record in CheckpointStore(tmp_path).record_paths()[1:]:
-            record.unlink()
+        # Keep only the oldest of the newest three records (rounds 2,
+        # 3, 4): simulates a kill after round 2.
+        from tests.journal import keep_only_oldest
+        keep_only_oldest(tmp_path)
         resumed = self._run(setting, self._cleaner(setting,
                                                    resume_from=tmp_path))
         assert [s.hex() for s in resumed.scores] == \

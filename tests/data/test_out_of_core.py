@@ -28,8 +28,10 @@ from repro.errors import inject_label_errors
 from repro.importance import MonteCarloShapley, Utility
 from repro.importance.base import hex_floats
 from repro.ml import KNeighborsClassifier, LogisticRegression
+from repro.observe import Observer
 from repro.runtime import FaultPolicy, Runtime
 from repro.unlearning import ShardedUnlearner
+from tests.journal import journal_lines
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -218,6 +220,33 @@ class TestUnlearnerOutOfCore:
             assert sharded.predict(s["X_valid"]).tolist() == \
                 reference.predict(s["X_valid"]).tolist()
 
+    def test_retrains_reuse_the_open_dataset(self, unlearn_setting,
+                                             monkeypatch):
+        """``unlearn`` reloads touched shards through the dataset
+        ``fit_sharded`` opened: no manifest is re-read, and the retrain
+        reads leave ``data.shards_read`` (the reading pass's count)
+        unchanged."""
+        from repro.data import shards
+
+        s = unlearn_setting
+        obs = Observer()
+        sharded = ShardedUnlearner(LogisticRegression(max_iter=40), seed=0,
+                                   observer=obs)
+        sharded.fit_sharded(s["dataset"].path)
+        before = obs.metrics.snapshot()
+        manifest_reads = []
+        read_manifest = shards._read_manifest
+        monkeypatch.setattr(shards, "_read_manifest", lambda path: (
+            manifest_reads.append(path), read_manifest(path))[1])
+        sharded.unlearn([3])
+        sharded.unlearn([17, 44])
+        after = obs.metrics.snapshot()
+        assert manifest_reads == []
+        assert after["unlearning.shard_retrains"] == 3
+        assert after["data.shards_read"] == before["data.shards_read"] \
+            == s["dataset"].n_shards
+        assert after["data.bytes_read"] == before["data.bytes_read"]
+
     def test_fit_sharded_under_reader_crash(self, unlearn_setting):
         s = unlearn_setting
         reference = ShardedUnlearner(
@@ -282,7 +311,7 @@ class TestSigkillSnapshotResume:
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if store.exists() and len(list(store.glob("*.json"))) >= 2:
+                if len(journal_lines(store)) >= 2:
                     break
                 if process.poll() is not None:
                     raise AssertionError(

@@ -1,5 +1,7 @@
 """Tests for the on-disk sharded dataset format."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.data import (
     write_shards,
 )
 from repro.data.shards import MANIFEST_NAME, PARTIAL_MANIFEST_NAME
-from repro.observe import Observer
+from repro.observe import NULL_OBSERVER, Observer
 
 
 @pytest.fixture()
@@ -71,6 +73,19 @@ class TestWriteAndRead:
         assert metrics["data.bytes_written"] > 0
         assert metrics["data.shards_read"] == 1
         assert metrics["data.bytes_read"] > 0
+
+    def test_pickled_handle_is_its_manifest_alone(self, tmp_path, arrays):
+        """A process-pool task ships an open dataset: it pickles without
+        its observer or any array, and reads the same shards."""
+        write_shards(tmp_path / "d", arrays, rows_per_shard=10)
+        opened = ShardedDataset(tmp_path / "d", observer=Observer())
+        data = pickle.dumps(opened)
+        assert len(data) < 2048
+        clone = pickle.loads(data)
+        assert clone.observer is NULL_OBSERVER
+        assert opened.observer.enabled
+        assert clone.shards == opened.shards
+        assert np.array_equal(clone.load_shard(3)["X"], arrays["X"][30:])
 
     def test_validation_errors(self, tmp_path, arrays):
         with pytest.raises(ValidationError):

@@ -33,6 +33,14 @@ from repro.runtime import (
     Runtime,
     resolve_checkpoint_store,
 )
+from repro.runtime.checkpoint import _COMPACT_SLACK
+from tests.journal import (
+    journal_lines,
+    keep_only_oldest,
+    rewrite_journal,
+    tamper_newest,
+    truncate_newest,
+)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -57,11 +65,18 @@ class TestCheckpointStore:
         assert store.load_latest("demo").payload["completed"] == 2
 
     def test_prunes_to_keep(self, tmp_path):
+        """The journal grows to ``keep`` + slack records; the write that
+        crosses the bound compacts it to the newest ``keep``."""
         store = CheckpointStore(tmp_path, keep=2)
-        for i in range(5):
+        bound = 2 + _COMPACT_SLACK
+        for i in range(bound):
             store.write("demo", {"completed": i})
+        assert len(store) == bound
+        store.write("demo", {"completed": bound})
         assert len(store) == 2
-        assert store.load_latest("demo").payload["completed"] == 4
+        assert store.load_latest("demo").payload["completed"] == bound
+        assert [json.loads(line)["seq"] for line in journal_lines(tmp_path)] \
+            == [bound - 1, bound]
 
     def test_kind_filter(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -108,8 +123,9 @@ class TestCorruptionHandling:
 
     def test_truncated_record_falls_back(self, tmp_path):
         store = self._store_with_records(tmp_path)
-        newest = store.record_paths()[-1]
-        newest.write_bytes(newest.read_bytes()[: len(newest.read_bytes()) // 2])
+        newest = store.journal
+        offset = sum(len(line) + 1 for line in journal_lines(tmp_path)[:-1])
+        truncate_newest(tmp_path)
         obs = Observer()
         record = store.load_latest("demo", observer=obs)
         assert record.payload["completed"] == 1  # last good record
@@ -119,27 +135,29 @@ class TestCorruptionHandling:
                   if e["kind"] == "executor.checkpoint_corrupt"]
         assert len(events) == 1
         assert events[0]["path"] == str(newest)
+        assert events[0]["offset"] == offset
 
     def test_hash_mismatch_detected(self, tmp_path):
         store = self._store_with_records(tmp_path)
-        newest = store.record_paths()[-1]
-        envelope = json.loads(newest.read_text())
-        envelope["payload"] = json.dumps({"completed": 999})  # tampered
-        newest.write_text(json.dumps(envelope))
+
+        def tamper(envelope):
+            envelope["payload"] = json.dumps({"completed": 999})
+
+        tamper_newest(tmp_path, tamper)
         assert store.load_latest("demo").payload["completed"] == 1
 
     def test_unknown_schema_skipped(self, tmp_path):
         store = self._store_with_records(tmp_path)
-        newest = store.record_paths()[-1]
-        envelope = json.loads(newest.read_text())
-        envelope["schema"] = CHECKPOINT_SCHEMA + 1
-        newest.write_text(json.dumps(envelope))
+
+        def bump(envelope):
+            envelope["schema"] = CHECKPOINT_SCHEMA + 1
+
+        tamper_newest(tmp_path, bump)
         assert store.load_latest("demo").payload["completed"] == 1
 
     def test_all_corrupt_returns_none(self, tmp_path):
         store = self._store_with_records(tmp_path)
-        for path in store.record_paths():
-            path.write_text("not json at all")
+        rewrite_journal(tmp_path, [b"not json at all"] * 3)
         obs = Observer()
         assert store.load_latest("demo", observer=obs) is None
         assert obs.as_dict()["metrics"]["checkpoint.corrupt_records"] == 3
@@ -224,12 +242,6 @@ def _utility(blobs_split, backend="serial"):
                                    cache=FingerprintCache()))
 
 
-def _keep_only_oldest(path):
-    store = CheckpointStore(path)
-    for record in store.record_paths()[1:]:
-        record.unlink()
-
-
 class TestEstimatorResume:
     """Partial resume (newest records deleted to simulate a mid-run
     kill) reproduces the uninterrupted run hex-exactly: scores, call
@@ -243,7 +255,7 @@ class TestEstimatorResume:
         full = make_estimator(checkpoint=tmp_path).score(full_utility)
         assert np.array_equal(ref, full)
 
-        _keep_only_oldest(tmp_path)
+        keep_only_oldest(tmp_path)
         resumed_utility = _utility(blobs_split)
         resumed = make_estimator(resume_from=tmp_path).score(resumed_utility)
         assert [v.hex() for v in resumed] == [v.hex() for v in ref]
@@ -282,7 +294,7 @@ class TestEstimatorResume:
         ref = leave_one_out(ref_utility)
         full_utility = _utility(blobs_split)
         leave_one_out(full_utility, checkpoint=tmp_path, checkpoint_every=8)
-        _keep_only_oldest(tmp_path)
+        keep_only_oldest(tmp_path)
         resumed_utility = _utility(blobs_split)
         resumed = leave_one_out(resumed_utility, resume_from=tmp_path)
         assert [v.hex() for v in resumed] == [v.hex() for v in ref]
@@ -297,7 +309,7 @@ class TestEstimatorResume:
         full_utility = _utility(blobs_split)
         MonteCarloShapley(n_permutations=6, seed=11, checkpoint=tmp_path,
                           checkpoint_every=2).score(full_utility)
-        _keep_only_oldest(tmp_path)
+        keep_only_oldest(tmp_path)
         for backend in ("thread", "process"):
             utility = _utility(blobs_split, backend=backend)
             try:
@@ -315,7 +327,7 @@ class TestEstimatorResume:
         full_utility = _utility(blobs_split)
         MonteCarloShapley(n_permutations=6, seed=11, checkpoint=tmp_path,
                           checkpoint_every=2).score(full_utility)
-        _keep_only_oldest(tmp_path)
+        keep_only_oldest(tmp_path)
         X_train, y_train, X_valid, y_valid = blobs_split
         utility = Utility(
             LogisticRegression(max_iter=40), X_train[:24], y_train[:24],
@@ -333,9 +345,7 @@ class TestEstimatorResume:
         full_utility = _utility(blobs_split)
         MonteCarloShapley(n_permutations=6, seed=11, checkpoint=tmp_path,
                           checkpoint_every=2).score(full_utility)
-        store = CheckpointStore(tmp_path)
-        newest = store.record_paths()[-1]
-        newest.write_bytes(newest.read_bytes()[:40])  # torn write
+        truncate_newest(tmp_path, 40)  # torn write
         obs = Observer()
         utility = _utility(blobs_split)
         resumed = MonteCarloShapley(n_permutations=6, seed=11,
@@ -459,9 +469,8 @@ def _run_driver(driver, *args, timeout=120):
 
 def _wait_for_records(store_dir: Path, n: int, process, timeout=60.0):
     deadline = time.monotonic() + timeout
-    store = CheckpointStore(store_dir)
     while time.monotonic() < deadline:
-        if len(store.record_paths()) >= n:
+        if len(journal_lines(store_dir)) >= n:
             return
         if process.poll() is not None:
             raise AssertionError(
@@ -702,17 +711,17 @@ class TestShutdownOutsideGuard:
 
 class TestSharedStoreConcurrency:
     """Two resuming workers sharing one store must never crash each
-    other: keep-N pruning tolerates already-deleted records, and a file
-    that vanishes between listing and reading is skipped silently (it
-    was pruned, not corrupted)."""
+    other: a journal rewritten or removed behind a handle's back is
+    re-read, not trusted from its cache, and records another handle
+    dropped are not corruption."""
 
     def test_vanished_record_is_not_corrupt(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=5)
         for i in range(3):
             store.write("demo", {"completed": i})
         reader = CheckpointStore(tmp_path, keep=5)
-        newest = reader.record_paths()[-1]
-        newest.unlink()  # concurrent worker pruned it under us
+        # a concurrent worker rewrote the journal without the newest
+        rewrite_journal(tmp_path, journal_lines(tmp_path)[:-1])
         observer = Observer(run_id="shared")
         record = reader.load_latest("demo", observer=observer)
         assert record is not None
@@ -725,19 +734,22 @@ class TestSharedStoreConcurrency:
         for i in range(4):
             store.write("demo", {"completed": i})
         # empty the directory behind the store's back, then write: the
-        # prune pass finds nothing to delete and must not raise
-        for path in store.record_paths():
-            path.unlink()
+        # handle's cached journal is gone and it must not raise
+        store.journal.unlink()
         store.write("demo", {"completed": 99})
         assert store.load_latest("demo").payload["completed"] == 99
 
     def test_two_stores_interleaved_writes(self, tmp_path):
-        """Interleaved write+prune from two store handles over one
-        directory: both survive, and the newest record wins."""
+        """Interleaved writes and compactions from two store handles
+        over one directory: both survive, the newest record wins, and
+        the journal stays within its bound with strictly rising seqs."""
         a = CheckpointStore(tmp_path, keep=2)
         b = CheckpointStore(tmp_path, keep=2)
-        for i in range(10):
+        n = 2 * (2 + _COMPACT_SLACK) + 9
+        for i in range(n):
             (a if i % 2 == 0 else b).write("demo", {"completed": i})
-        assert a.load_latest("demo").payload["completed"] == 9
-        assert b.load_latest("demo").payload["completed"] == 9
-        assert len(a.record_paths()) <= 3
+        assert a.load_latest("demo").payload["completed"] == n - 1
+        assert b.load_latest("demo").payload["completed"] == n - 1
+        assert len(a) <= 2 + _COMPACT_SLACK
+        seqs = [json.loads(line)["seq"] for line in journal_lines(tmp_path)]
+        assert seqs == list(range(n - len(seqs), n))

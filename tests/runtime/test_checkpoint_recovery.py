@@ -14,11 +14,13 @@ import pytest
 
 from repro.observe import global_registry
 from repro.runtime import (
+    CHECKPOINT_SCHEMA,
     CheckpointStore,
     checkpoint,
     register_shutdown_flush,
     unregister_shutdown_flush,
 )
+from repro.runtime.durable import encode_envelope
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -38,16 +40,24 @@ class TestRecordNames:
         assert written[-1].path.exists()
         assert store.load_latest("demo").payload["completed"] == 11
         assert (tmp_path / "ckpt-backup.json").exists()
-        assert len(store) == 3
+        # Under the journal bound nothing is compacted, and the stray
+        # file is not a record.
+        assert len(store) == 12
 
     def test_sequence_order_past_eight_digits(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=5)
+        """Legacy ``ckpt-<seq>.json`` files order numerically, not by
+        name, and the journal continues from the highest."""
         for seq in (99_999_998, 99_999_999, 100_000_000):
-            (tmp_path / f"ckpt-{seq:08d}.json").write_text("{}")
-        assert [path.name for path in store.record_paths()] == [
-            "ckpt-99999998.json", "ckpt-99999999.json",
-            "ckpt-100000000.json"]
+            (tmp_path / f"ckpt-{seq:08d}.json").write_bytes(encode_envelope(
+                CHECKPOINT_SCHEMA, {"completed": seq}, seq=seq, kind="demo"))
+        store = CheckpointStore(tmp_path, keep=5)
+        latest = store.load_latest("demo")
+        assert latest.seq == 100_000_000
+        assert latest.path.name == "ckpt-100000000.json"
         assert store.write("demo", {"completed": 1}).seq == 100_000_001
+        assert CheckpointStore(tmp_path).write(
+            "demo", {"completed": 2}).seq == 100_000_002
+        assert store.load_latest("demo").payload["completed"] == 2
 
 
 class TestBoundedUnguardedFlush:

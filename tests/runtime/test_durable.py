@@ -29,6 +29,7 @@ from repro.runtime import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.runtime import durable
 from repro.runtime.durable import (
     IntegrityError,
+    decode_envelope,
     encode_envelope,
     publish,
     read_envelope,
@@ -165,8 +166,8 @@ class TestGoldenBytes:
         store = CheckpointStore(tmp_path)
         payload = dict(GOLDEN_RECORD_PAYLOAD, n=np.int64(7))
         record = store.write("demo", payload)
-        assert record.path.name == "ckpt-00000000.json"
-        assert record.path.read_bytes() == GOLDEN_RECORD
+        assert record.path.name == "records.jsonl"
+        assert record.path.read_bytes() == GOLDEN_RECORD + b"\n"
         assert CHECKPOINT_SCHEMA == 1
 
     def test_existing_record_loads_and_continues(self, tmp_path):
@@ -199,13 +200,13 @@ class TestGoldenBytes:
 
 
 # --------------------------------------------------------------------------
-# SIGKILL inside a checkpoint publish
+# SIGKILL inside a checkpoint append
 # --------------------------------------------------------------------------
 
 _TORN_DRIVER = '''\
 """Checkpointed Shapley run (modes: ref | run | resume). In ``run``
 mode the third checkpoint flush arms the slow-publish seam, so the next
-record's publish stalls between its fsync and its rename."""
+record's append stalls with half the line written."""
 import json
 import os
 import sys
@@ -253,15 +254,17 @@ class TestTornCheckpointWrite:
                        check=True, timeout=120, cwd=driver.parent,
                        env=dict(os.environ, PYTHONPATH=SRC))
 
-    def _kill_inside_publish(self, driver, store_dir, armed):
+    def _kill_inside_append(self, driver, store_dir, armed):
+        journal = store_dir / "records.jsonl"
         process = subprocess.Popen(
             [sys.executable, str(driver), "run", str(store_dir), str(armed)],
             env=dict(os.environ, PYTHONPATH=SRC), cwd=driver.parent)
         try:
             deadline = time.monotonic() + 60
-            while not (armed.exists() and list(store_dir.glob("*.tmp"))):
+            while not (armed.exists() and journal.exists()
+                       and not journal.read_bytes().endswith(b"\n")):
                 assert process.poll() is None, "driver exited early"
-                assert time.monotonic() < deadline, "no publish window"
+                assert time.monotonic() < deadline, "no append window"
                 time.sleep(0.02)
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=60)
@@ -275,17 +278,19 @@ class TestTornCheckpointWrite:
         driver = tmp_path / "torn_ckpt.py"
         driver.write_text(_TORN_DRIVER)
         store_dir = tmp_path / "store"
-        self._kill_inside_publish(driver, store_dir, tmp_path / "armed")
+        self._kill_inside_append(driver, store_dir, tmp_path / "armed")
 
-        # The stalled record never reached a ckpt-*.json name: every
-        # name there is a complete, verifying record.
+        # The stalled record is a torn tail after the last newline:
+        # every complete line is a verifying record, the newest of
+        # which loads.
         store = CheckpointStore(store_dir)
-        names = sorted(store_dir.glob("ckpt-*.json"))
-        assert names and names == store.record_paths()
-        for path in names:
-            read_envelope(path, CHECKPOINT_SCHEMA)
+        *lines, torn = store.journal.read_bytes().split(b"\n")
+        assert lines and torn
+        for line in lines:
+            decode_envelope(line, CHECKPOINT_SCHEMA)
         latest = store.load_latest("importance.shapley_mc")
-        assert latest.path == names[-1]
+        assert latest.path == store.journal
+        assert latest.seq == json.loads(lines[-1])["seq"]
         assert 0 < latest.payload["completed"] < 10
 
         self._run(driver, "ref", tmp_path / "unused", tmp_path / "ref.json")

@@ -230,10 +230,10 @@ class TestCheckpointResume:
         ref = self._select(hard_blobs)
         assert ref["n_cleaned"] == 5  # the scenario must exercise the loop
         self._select(hard_blobs, checkpoint=tmp_path)
-        from repro.runtime import CheckpointStore
-        # Keep only the oldest surviving record — a kill mid-selection.
-        for record in CheckpointStore(tmp_path).record_paths()[1:]:
-            record.unlink()
+        from tests.journal import keep_only_oldest
+        # Keep only the oldest of the newest three records — a kill
+        # mid-selection.
+        keep_only_oldest(tmp_path)
         resumed = self._select(hard_blobs, resume_from=tmp_path)
         assert resumed["cleaned_rows"] == ref["cleaned_rows"]
         assert [float(f).hex() for f in resumed["certain_fraction"]] == \
