@@ -13,17 +13,26 @@ import inspect
 from repro.core.exceptions import NotFittedError
 
 
+# ``__init__`` parameter names per estimator class: ``get_params`` and
+# ``set_params`` run on every clone, and ``inspect.signature`` is slow.
+_PARAM_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 class BaseEstimator:
     """Mixin giving estimators ``get_params`` / ``set_params`` / repr."""
 
     @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, param in signature.parameters.items()
-            if name != "self" and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
-        ]
+    def _param_names(cls) -> tuple[str, ...]:
+        names = _PARAM_NAMES.get(cls)
+        if names is None:
+            signature = inspect.signature(cls.__init__)
+            names = _PARAM_NAMES[cls] = tuple(
+                name
+                for name, param in signature.parameters.items()
+                if name != "self"
+                and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+            )
+        return names
 
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}

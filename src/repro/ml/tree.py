@@ -3,6 +3,18 @@
 Decision trees are the model class of the programmable-bias robustness
 work the paper surveys (reference [54]); the tree structure here is also
 reused by the possible-worlds ensemble for cheap repeated retraining.
+
+The split search is a sorted prefix-count scan in numpy: each block of
+feature columns is sorted once, cumulative class counts over the sorted
+rows give the left counts of every cut at once (the right counts are the
+parent's minus those), and every cut's gini gain comes out of one array
+expression. The winner is the first maximum in (feature, position)
+order, the tie-break a cut-by-cut loop with a strict ``>`` would make,
+and the float operations are the ones such a loop performs, so the trees
+are bit-identical to it. Blocks are sized so that each
+``(n - 1) x block x n_classes`` temporary holds at most
+``_SCAN_BUDGET`` elements (a block is never narrower than one column),
+which bounds the scan's memory whatever the number of features.
 """
 
 from __future__ import annotations
@@ -14,6 +26,9 @@ import numpy as np
 from repro.core.exceptions import ValidationError
 from repro.core.validation import check_array, check_X_y
 from repro.ml.base import BaseEstimator, check_fitted
+
+# Elements per (n - 1) x block x n_classes temporary of the split scan.
+_SCAN_BUDGET = 1 << 17
 
 
 @dataclass
@@ -97,30 +112,56 @@ class DecisionTreeClassifier(BaseEstimator):
         return node
 
     def _best_split(self, X, y, parent_counts):
+        """The best ``(feature, threshold, gain)`` over every cut, or None.
+
+        A prefix-count scan over blocks of feature columns: a stable
+        sort of each column, cumulative class counts over the sorted
+        rows (the left side of every cut; the right side is
+        ``parent_counts`` minus it), then every cut's gain as
+        ``parent - (n_left * gini_left + n_right * gini_right) / n``.
+        Cuts between equal neighbouring values score ``-inf``. The first
+        maximum in (feature, position) order wins, and a later block must
+        beat the best so far strictly. The block width keeps each
+        ``(n - 1) x block x k`` temporary within ``_SCAN_BUDGET``
+        elements, or at one column when a single column needs more.
+        """
         n, d = X.shape
+        if n < 2:
+            return None  # no cut
+        k = len(parent_counts)
         parent_impurity = _gini(parent_counts)
         best = None
         best_gain = -np.inf
-        k = len(self.classes_)
-        for feature in range(d):
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y[order]
-            left_counts = np.zeros(k)
-            right_counts = parent_counts.copy()
-            for i in range(n - 1):
-                left_counts[labels[i]] += 1
-                right_counts[labels[i]] -= 1
-                if values[i] == values[i + 1]:
-                    continue  # cannot split between equal values
-                n_left = i + 1
-                n_right = n - n_left
-                gain = parent_impurity - (
-                    n_left * _gini(left_counts) + n_right * _gini(right_counts)
-                ) / n
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, float((values[i] + values[i + 1]) / 2.0), gain)
+        onehot = y[:, None] == np.arange(k)
+        n_left = np.arange(1.0, n)[:, None]
+        n_right = n - n_left
+        width = max(1, _SCAN_BUDGET // ((n - 1) * k))
+        for start in range(0, d, width):
+            columns = X[:, start:start + width]
+            order = np.argsort(columns, axis=0, kind="stable")
+            values = np.take_along_axis(columns, order, axis=0)
+            # (n - 1, block, k): class counts left of each cut. The class
+            # axis must stay last and contiguous: numpy then sums each
+            # cut's k terms in the order a 1-D sum of k terms takes (its
+            # pairwise order from 8 terms up), which keeps gains bit-equal.
+            counts = np.cumsum(onehot[order[:-1]], axis=0, dtype=float)
+            p = counts / n_left[..., None]
+            p *= p
+            gini_left = 1.0 - np.sum(p, axis=-1)
+            # right side in place: a block holds two arrays of this size
+            np.subtract(parent_counts, counts, out=counts)
+            np.divide(counts, n_right[..., None], out=p)
+            p *= p
+            gini_right = 1.0 - np.sum(p, axis=-1)
+            gains = parent_impurity - (n_left * gini_left + n_right * gini_right) / n
+            gains[values[:-1] == values[1:]] = -np.inf
+            # feature-major flat index: the first maximum in scan order
+            flat = int(np.argmax(gains.T))
+            feature, i = divmod(flat, n - 1)
+            if gains[i, feature] > best_gain:
+                best_gain = gains[i, feature]
+                threshold = float((values[i, feature] + values[i + 1, feature]) / 2.0)
+                best = (start + feature, threshold, float(best_gain))
         return best
 
     # ------------------------------------------------------------------

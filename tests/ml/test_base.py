@@ -28,6 +28,28 @@ class TestParams:
         text = repr(LogisticRegression(C=3.0))
         assert "LogisticRegression" in text and "C=3.0" in text
 
+    def test_param_names_are_per_class(self):
+        class Base(BaseEstimator):
+            def __init__(self, a=1):
+                self.a = a
+
+        class Inherits(Base):
+            pass
+
+        class Extends(Base):
+            def __init__(self, a=1, b=2):
+                super().__init__(a)
+                self.b = b
+
+        # the base's memo entry must not serve the subclass, nor the reverse
+        assert Base._param_names() == ("a",)
+        assert Extends._param_names() == ("a", "b")
+        assert Inherits._param_names() == ("a",)
+        assert Base._param_names() == ("a",)
+        assert Extends(b=5).get_params() == {"a": 1, "b": 5}
+        with pytest.raises(ValueError):
+            Base().set_params(b=3)
+
 
 class TestClone:
     def test_clone_copies_params_not_state(self, blobs):
