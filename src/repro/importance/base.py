@@ -335,22 +335,6 @@ class Utility:
             raise ValidationError("subset indices must be a 1-D index array")
         return subset
 
-    def _lookup(self, subset: np.ndarray, memo_key: tuple | None):
-        if memo_key is not None and memo_key in self._cache:
-            return self._cache[memo_key]
-        shared_cache = self.runtime.cache if self.runtime is not None else None
-        if shared_cache is not None:
-            return shared_cache.get(self.coalition_key(subset))
-        return None
-
-    def _store(self, subset: np.ndarray, memo_key: tuple | None,
-               value: float) -> None:
-        if memo_key is not None:
-            self._cache[memo_key] = value
-        shared_cache = self.runtime.cache if self.runtime is not None else None
-        if shared_cache is not None:
-            shared_cache.put(self.coalition_key(subset), value)
-
     def _poll_cancel(self, stage: str) -> None:
         # The executor polls between chunks, but small batches may take
         # the inline fast path; a tripped token must abort those too.
@@ -371,41 +355,54 @@ class Utility:
         self._poll_cancel(stage)
         subsets = [self._check_subset(c) for c in coalitions]
         values = np.empty(len(subsets))
+        memo = self._cache
+        shared_cache = self.runtime.cache if self.runtime is not None else None
         pending: dict[tuple, list[int]] = {}
-        order: list[tuple[tuple, np.ndarray]] = []
+        # (memo key, subset as given, shared-cache key or None) per miss
+        order: list[tuple[tuple, np.ndarray, str | None]] = []
         for i, subset in enumerate(subsets):
             if len(subset) == 0:
                 values[i] = self._core.null_value()
                 continue
-            memo_key = tuple(np.sort(subset).tolist())
-            cached = self._lookup(subset, memo_key if self._cache is not None
-                                  else None)
-            if cached is not None:
-                values[i] = cached
+            # One sort per coalition: it yields both the memo key and the
+            # shared-cache key, which is hashed only on a memo miss.
+            ordered = np.sort(subset)
+            memo_key = tuple(ordered.tolist())
+            if memo is not None and memo_key in memo:
+                values[i] = memo[memo_key]
                 continue
+            shared_key = None
+            if shared_cache is not None:
+                shared_key = fingerprint(self.base_fingerprint(), ordered)
+                cached = shared_cache.get(shared_key)
+                if cached is not None:
+                    values[i] = cached
+                    continue
             if memo_key in pending:
                 pending[memo_key].append(i)
             else:
                 pending[memo_key] = [i]
-                order.append((memo_key, subset))
+                order.append((memo_key, subset, shared_key))
         if order:
             if self.runtime is not None and len(order) > 1:
                 results = self.runtime.map(
-                    _evaluate_subset_task, [s for _, s in order],
+                    _evaluate_subset_task, [s for _, s, _ in order],
                     shared=self._core, stage=stage)
             else:
-                results = [self._core.evaluate(s) for _, s in order]
+                results = [self._core.evaluate(s) for _, s, _ in order]
             kernel_steps = 0
             fallback_retrains = 0
-            for (memo_key, subset), (value, trained, used_kernel) in zip(
-                    order, results):
+            for (memo_key, _, shared_key), (value, trained, used_kernel) in \
+                    zip(order, results):
                 self.calls += trained
                 if used_kernel:
                     kernel_steps += 1
                 else:
                     fallback_retrains += trained
-                self._store(subset, memo_key if self._cache is not None
-                            else None, value)
+                if memo is not None:
+                    memo[memo_key] = value
+                if shared_key is not None:
+                    shared_cache.put(shared_key, value)
                 for i in pending[memo_key]:
                     values[i] = value
             self._record_kernel_activity(kernel_steps, fallback_retrains)

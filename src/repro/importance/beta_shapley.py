@@ -17,7 +17,6 @@ estimate of the semivalue.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from repro.core.exceptions import ValidationError
 from repro.importance.base import Utility
@@ -40,6 +39,8 @@ def beta_size_weights(n: int, alpha: float, beta: float) -> np.ndarray:
     """
     if alpha <= 0 or beta <= 0:
         raise ValidationError("alpha and beta must be positive")
+    from scipy.special import betaln, gammaln
+
     j = np.arange(n)
     log_binom = gammaln(n) - gammaln(j + 1) - gammaln(n - j)
     log_weight = log_binom + betaln(j + beta, n - 1 - j + alpha) - betaln(alpha, beta)

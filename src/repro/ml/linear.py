@@ -20,7 +20,6 @@ same machinery across coalition prefixes).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.exceptions import ValidationError
 from repro.core.validation import check_array, check_X_y
@@ -42,6 +41,8 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
 
 def _minimize(objective, w0, max_iter: int, gtol: float):
     """The one L-BFGS-B call every linear solver in the package makes."""
+    from scipy import optimize
+
     return optimize.minimize(
         objective, w0, jac=True, method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": gtol},

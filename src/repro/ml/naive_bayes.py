@@ -27,24 +27,21 @@ class GaussianNB(BaseEstimator):
         X, y = check_X_y(X, y)
         self.classes_, encoded = np.unique(y, return_inverse=True)
         k, d = len(self.classes_), X.shape[1]
-        self.theta_ = np.zeros((k, d))
+        # One gather per class feeds both the batch parameters and the
+        # running sufficient statistics partial_fit continues from.
         self.var_ = np.zeros((k, d))
-        self.class_prior_ = np.zeros(k)
-        for c in range(k):
-            rows = X[encoded == c]
-            self.theta_[c] = rows.mean(axis=0)
-            self.var_[c] = rows.var(axis=0)
-            self.class_prior_[c] = len(rows) / len(X)
-        self.var_ += self.var_smoothing * max(X.var(axis=0).max(), 1e-12)
-        # Seed the running sufficient statistics so partial_fit can
-        # continue from a batch fit.
         self._counts = np.bincount(encoded, minlength=k).astype(float)
         self._sums = np.zeros((k, d))
         self._sumsqs = np.zeros((k, d))
         for c in range(k):
             rows = X[encoded == c]
+            self.var_[c] = rows.var(axis=0)
             self._sums[c] = rows.sum(axis=0)
             self._sumsqs[c] = (rows * rows).sum(axis=0)
+        # The same reduction and division ``rows.mean(axis=0)`` performs.
+        self.theta_ = self._sums / self._counts[:, None]
+        self.class_prior_ = self._counts / len(X)
+        self.var_ += self.var_smoothing * max(X.var(axis=0).max(), 1e-12)
         self._total_sum = X.sum(axis=0)
         self._total_sumsq = (X * X).sum(axis=0)
         self._n_samples = float(len(X))

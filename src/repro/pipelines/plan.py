@@ -7,9 +7,12 @@ root = terminal node, mirroring Figure 3's plan sketch) and exports to a
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.pipelines.operators import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def show_query_plan(plan: Node) -> str:
@@ -41,6 +44,8 @@ def to_networkx(plan: Node) -> nx.DiGraph:
 
     Node attributes: ``op`` (operator kind) and ``label`` (description).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node in plan.walk():
         graph.add_node(node.id, op=node.op, label=node.describe())
@@ -51,6 +56,8 @@ def to_networkx(plan: Node) -> nx.DiGraph:
 
 def plan_stats(plan: Node) -> dict:
     """Simple structural statistics: operator counts, depth, source list."""
+    import networkx as nx
+
     graph = to_networkx(plan)
     counts: dict[str, int] = {}
     for node in plan.walk():

@@ -202,7 +202,16 @@ class CheckpointStore:
         if keep < 1:
             raise ValidationError("keep must be >= 1")
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        # Legacy record files, listed at most once per handle: nothing
+        # writes that layout any more, so the listing only shrinks (by a
+        # clear) and a directory this handle creates holds none.
+        self._legacy: list[Path] | None = None
+        try:
+            self.path.mkdir(parents=True)
+            self._legacy = []
+        except FileExistsError:
+            if not self.path.is_dir():
+                raise
         self.journal = self.path / _JOURNAL_NAME
         self.keep = keep
         self.observer = resolve_observer(observer)
@@ -331,10 +340,12 @@ class CheckpointStore:
 
     def _legacy_paths(self) -> list[Path]:
         """Record files of the one-file-per-record layout, oldest first;
-        files with any other name are ignored."""
-        paths = [path for path in self.path.glob("ckpt-*.json")
-                 if _LEGACY_RECORD.fullmatch(path.name)]
-        return sorted(paths, key=_legacy_seq)
+        files with any other name are ignored. Listed on first use."""
+        if self._legacy is None:
+            paths = [path for path in self.path.glob("ckpt-*.json")
+                     if _LEGACY_RECORD.fullmatch(path.name)]
+            self._legacy = sorted(paths, key=_legacy_seq)
+        return self._legacy
 
     def load_latest(self, kind: str | None = None, *,
                     observer=None) -> CheckpointRecord | None:
@@ -387,6 +398,7 @@ class CheckpointStore:
         for path in (self.journal, *self._legacy_paths()):
             with contextlib.suppress(FileNotFoundError):
                 path.unlink()
+        self._legacy = []
         self._tail = None
 
     def __repr__(self) -> str:
@@ -723,8 +735,13 @@ class LoopCheckpointer:
         if every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
         self.store = resolve_checkpoint_store(checkpoint, observer=observer)
-        self.resume_store = resolve_checkpoint_store(resume_from,
-                                                     observer=observer)
+        if self.store is not None \
+                and isinstance(resume_from, (str, os.PathLike)) \
+                and Path(resume_from) == self.store.path:
+            self.resume_store = self.store  # one handle for one directory
+        else:
+            self.resume_store = resolve_checkpoint_store(resume_from,
+                                                         observer=observer)
         self.kind = kind
         self.identity = identity
         self.every = every

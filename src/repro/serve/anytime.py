@@ -24,7 +24,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.exceptions import ValidationError
 
@@ -97,7 +96,9 @@ class AnytimeEstimate:
             raise ValidationError("every must be >= 1")
         self.every = int(every)
         self.confidence = float(confidence)
-        self._z = float(norm.ppf(0.5 + confidence / 2.0))
+        from scipy.special import ndtri
+
+        self._z = float(ndtri(0.5 + confidence / 2.0))
         self._cond = threading.Condition()
         self._seq = 0
         self._latest: PartialEstimate | None = None

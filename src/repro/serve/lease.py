@@ -43,7 +43,7 @@ import os
 import socket
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.exceptions import ReproError, ValidationError
@@ -66,7 +66,8 @@ class Lease:
 
     ``deadline_mono`` (the renewal deadline on the owner's monotonic
     clock) is what liveness decisions read; ``expires_at`` is the
-    wall-clock mirror kept for display and provenance.
+    wall-clock mirror kept for display and provenance. ``store`` is the
+    job's lease-store handle, reused by every heartbeat and the release.
     """
 
     job_id: str
@@ -76,6 +77,8 @@ class Lease:
     deadline_mono: float = 0.0
     renewals: int = 0
     adopted: bool = False  # acquired over another owner's expired lease
+    store: CheckpointStore | None = field(default=None, repr=False,
+                                          compare=False)
 
     def remaining(self, now: float | None = None) -> float:
         """Seconds of ttl left, measured on the owner's monotonic clock
@@ -125,6 +128,11 @@ class LeaseManager:
 
     def _store(self, job_id: str) -> CheckpointStore:
         return CheckpointStore(self.root / job_id, keep=2)
+
+    def _lease_store(self, lease: Lease) -> CheckpointStore:
+        if lease.store is None:
+            lease.store = self._store(lease.job_id)
+        return lease.store
 
     def peek(self, job_id: str) -> dict | None:
         """The newest lease record's payload, or ``None``."""
@@ -207,7 +215,8 @@ class LeaseManager:
                 self.observer.count("serve.lease.adopted")
         return Lease(job_id=job_id, owner=self.owner, epoch=epoch,
                      expires_at=expires_at,
-                     deadline_mono=now_mono + self.ttl, adopted=adopted)
+                     deadline_mono=now_mono + self.ttl, adopted=adopted,
+                     store=store)
 
     def _payload(self, job_id: str, epoch: int, expires_at: float,
                  state: str, *, renewals: int = 0) -> dict:
@@ -217,7 +226,7 @@ class LeaseManager:
 
     # -- heartbeat / release -----------------------------------------------
     def _verify(self, lease: Lease) -> None:
-        latest = self._store(lease.job_id).load_latest(LEASE_KIND)
+        latest = self._lease_store(lease).load_latest(LEASE_KIND)
         if latest is None \
                 or latest.payload.get("owner") != lease.owner \
                 or int(latest.payload.get("epoch", -1)) != lease.epoch:
@@ -240,7 +249,7 @@ class LeaseManager:
         lease.deadline_mono = now_mono + self.ttl
         lease.expires_at = time.time() + self.ttl
         lease.renewals += 1
-        self._store(lease.job_id).write(
+        self._lease_store(lease).write(
             LEASE_KIND, self._payload(lease.job_id, lease.epoch,
                                       lease.expires_at, "running",
                                       renewals=lease.renewals))
@@ -255,7 +264,7 @@ class LeaseManager:
             self._verify(lease)
         except LeaseLost:
             return
-        self._store(lease.job_id).write(
+        self._lease_store(lease).write(
             LEASE_KIND, self._payload(lease.job_id, lease.epoch,
                                       time.time(), state,
                                       renewals=lease.renewals))

@@ -102,3 +102,46 @@ class TestPartialFit:
         model = GaussianNB().fit(X, y)
         with pytest.raises(ValidationError):
             model.partial_fit(np.ones((4, 3)), np.array([0, 1, 0, 1]))
+
+
+def _two_pass_fit(X, y, var_smoothing=1e-9):
+    """The fit that gathered every class's rows twice (once for θ and
+    σ², once for the running statistics), kept as the oracle."""
+    classes, encoded = np.unique(y, return_inverse=True)
+    k, d = len(classes), X.shape[1]
+    theta, var, prior = np.zeros((k, d)), np.zeros((k, d)), np.zeros(k)
+    for c in range(k):
+        rows = X[encoded == c]
+        theta[c] = rows.mean(axis=0)
+        var[c] = rows.var(axis=0)
+        prior[c] = len(rows) / len(X)
+    var += var_smoothing * max(X.var(axis=0).max(), 1e-12)
+    counts = np.bincount(encoded, minlength=k).astype(float)
+    sums, sumsqs = np.zeros((k, d)), np.zeros((k, d))
+    for c in range(k):
+        rows = X[encoded == c]
+        sums[c] = rows.sum(axis=0)
+        sumsqs[c] = (rows * rows).sum(axis=0)
+    return {"theta_": theta, "var_": var, "class_prior_": prior,
+            "_counts": counts, "_sums": sums, "_sumsqs": sumsqs,
+            "_total_sum": X.sum(axis=0), "_total_sumsq": (X * X).sum(axis=0)}
+
+
+class TestSingleGatherFit:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hex_equal_to_two_pass_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes = 1 + seed % 5
+        n, d = int(rng.integers(n_classes, 200)), int(rng.integers(1, 12))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d) \
+            + rng.normal(scale=100.0, size=d)
+        y = np.concatenate([np.arange(n_classes),
+                            rng.integers(0, n_classes, n - n_classes)])
+        if n_classes > 1:
+            y[y == n_classes - 1] = 0
+            y[rng.integers(n)] = n_classes - 1  # a one-row class
+        model = GaussianNB().fit(X, y)
+        for name, expected in _two_pass_fit(X, y).items():
+            got = np.asarray(getattr(model, name))
+            assert got.tobytes() == expected.tobytes(), name
+        assert model._n_samples == float(n)

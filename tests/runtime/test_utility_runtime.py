@@ -14,6 +14,7 @@ from repro.importance import (
 from repro.ml import KNeighborsClassifier
 from repro.observe import Observer
 from repro.runtime import FingerprintCache, Runtime
+from repro.runtime.cache import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,54 @@ class TestEvaluateMany:
 
         with pytest.raises(ValidationError):
             _utility(game, runtime=3.14)
+
+
+class _KeyLog(FingerprintCache):
+    """A fingerprint cache that records every key looked up or stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.got, self.put_keys = [], []
+
+    def get(self, key):
+        self.got.append(key)
+        return super().get(key)
+
+    def put(self, key, value):
+        self.put_keys.append(key)
+        super().put(key, value)
+
+
+class TestCacheKeys:
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_keys_are_the_sorted_coalition_fingerprint(self, game, memo):
+        """Shuffled, duplicated and empty coalitions: every key stored in
+        (and looked up from) the shared cache is
+        ``fingerprint(base, np.sort(c))``."""
+        rng = np.random.default_rng(5)
+        base = [rng.choice(50, size=int(rng.integers(1, 40)), replace=False)
+                for _ in range(6)]
+        batch = [c.copy() for c in base]
+        batch += [rng.permutation(c) for c in base[:3]]  # shuffled
+        batch += [base[1].copy(), np.array([], dtype=int)]  # dup, empty
+        cache = _KeyLog()
+        with Runtime(backend="serial", cache=cache) as runtime:
+            utility = _utility(game, runtime=runtime, cache=memo)
+            values = utility.evaluate_many(batch)
+            again = utility.evaluate_many(batch[::-1])
+        expected = {fingerprint(utility.base_fingerprint(), np.sort(c))
+                    for c in base}
+        assert sorted(cache.put_keys) == sorted(expected)
+        assert set(cache.got) == expected
+        assert cache.put_keys == [utility.coalition_key(c) for c in base]
+        assert utility.calls == len(base)
+        fresh = _utility(game, cache=memo)
+        assert [v.hex() for v in values] == \
+            [v.hex() for v in fresh.evaluate_many(batch)]
+        assert [v.hex() for v in again] == [v.hex() for v in values[::-1]]
+        # One lookup per non-empty coalition of the first batch; the
+        # memo, when on, answers the whole second batch.
+        assert len(cache.got) == (len(batch) - 1) * (1 if memo else 2)
 
 
 class TestIntrospection:

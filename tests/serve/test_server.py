@@ -3,13 +3,14 @@ criteria: concurrent multi-tenant jobs with bit-identical scores, fair
 dispatch, early stop + resume, and observability isolation."""
 
 import math
+import os
 import time
 
 import pytest
 
 from repro.core.exceptions import ValidationError
 from repro.importance import DataBanzhaf, MonteCarloShapley, leave_one_out
-from repro.runtime import FingerprintCache, Runtime
+from repro.runtime import FingerprintCache, Runtime, checkpoint
 from repro.serve import AdmissionError, Server
 
 
@@ -297,3 +298,41 @@ class TestLifecycle:
         assert stats["metrics"]["serve.jobs.completed"] == 1
         assert [j["job_id"] for j in jobs] == [job_id]
         assert "Server(" in repr(server)
+
+
+class TestPerJobFilesystemWork:
+    def test_served_job_lists_no_directory(self, tmp_path, make_utility,
+                                           monkeypatch):
+        """A fresh checkpointed job creates its lease and checkpoint
+        directories, so nothing in it lists a directory for legacy
+        records, and it builds one store handle for each."""
+        listings, handles = [], []
+        real_scandir = os.scandir
+        real_init = checkpoint.CheckpointStore.__init__
+
+        def scandir(*args, **kwargs):
+            listings.append(args)
+            return real_scandir(*args, **kwargs)
+
+        def init(self, path, **kwargs):
+            handles.append(os.fspath(path))
+            real_init(self, path, **kwargs)
+
+        with Server(tmp_path / "srv", workers=1) as server:
+            monkeypatch.setattr(os, "scandir", scandir)
+            monkeypatch.setattr(checkpoint.CheckpointStore, "__init__", init)
+            job_id = server.submit(
+                "shapley_mc", make_utility,
+                params={"n_permutations": 12, "seed": 4}, every=3)
+            got = server.result(job_id, timeout=60.0)
+            monkeypatch.undo()
+        assert listings == []
+        assert sorted(handles) == sorted(
+            os.fspath(tmp_path / "srv" / sub / job_id)
+            for sub in ("checkpoints", "leases"))
+        solo = MonteCarloShapley(n_permutations=12, seed=4).score(
+            make_utility())
+        assert hexes(got) == hexes(solo)
+        store = checkpoint.CheckpointStore(tmp_path / "srv" / "checkpoints"
+                                           / job_id)
+        assert store.load_latest("importance.shapley_mc") is not None
