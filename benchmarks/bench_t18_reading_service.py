@@ -1,8 +1,8 @@
 """Experiment T18 — reading service: prefetch hides storage latency.
 
 The claim behind ``repro.data.ShardReader``: with shard reads run as
-executor tasks in read-ahead windows of ``workers`` shards,
-shard fetches overlap, so a consumer
+one executor ``imap`` that keeps ``workers * prefetch`` shards in
+flight, shard fetches overlap, so a consumer
 draining the stream in manifest order finishes in roughly
 ``latency * n_shards / workers`` instead of the single-threaded
 ``latency * n_shards`` — while the delivered bytes stay bit-identical

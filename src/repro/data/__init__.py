@@ -7,9 +7,9 @@ robustness contract PR 4–5 gave the compute path:
   published atomically (:mod:`repro.runtime.durable`), a versioned manifest
   that only ever references complete shards, resumable writers, and a
   quarantine/mirror-heal story for corruption.
-- :mod:`repro.data.reader` — :class:`ShardReader`: reads up to
-  ``prefetch`` windows of ``workers`` shards ahead, each one
-  :class:`~repro.runtime.ThreadExecutor` ``map`` whose
+- :mod:`repro.data.reader` — :class:`ShardReader`: one
+  :class:`~repro.runtime.ThreadExecutor` ``imap`` per pass, at most
+  ``workers * prefetch`` shards read ahead, whose
   :class:`~repro.runtime.FaultPolicy` recovery (retries, timeouts,
   pool-crash resubmission of only the lost shards) is the executor's;
   pause / resume, and snapshot / restore of the read position.

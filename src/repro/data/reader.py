@@ -3,14 +3,15 @@
 :class:`ShardReader` streams a :class:`~repro.data.ShardedDataset` shard
 by shard, in manifest order, while the ``workers`` threads of one
 :class:`~repro.runtime.ThreadExecutor` read ahead — modeled on the
-torchdata ``dataloader2`` reading-service protocol. The stream is read
-in **windows** of ``workers`` shards: each window is one executor
-``map`` with one shard per chunk, run on a helper thread so that the
-next windows load while the consumer works through the current one.
-At most ``prefetch`` windows are loaded or loading at once, the
-consumer's included (backpressure: a slow consumer stalls the reads,
-it never balloons memory). The service supports ``pause()`` /
-``resume()`` plus ``snapshot()`` / ``restore`` of the read position.
+torchdata ``dataloader2`` reading-service protocol. A pass is one
+executor ``imap`` with one shard per chunk: the consumer asks the
+stream for each shard in turn, and at most ``workers * prefetch``
+shards are submitted and not yet passed on, the consumer's current one
+included (backpressure: a slow consumer stalls the reads, it never
+balloons memory). Each shard the consumer takes lets one more read
+start, so reads never wait for a slower neighbour. The service supports
+``pause()`` / ``resume()`` plus ``snapshot()`` / ``restore`` of the
+read position.
 
 Fault recovery is the executor's, under the same
 :class:`~repro.runtime.FaultPolicy` every ``map`` speaks, so the
@@ -23,7 +24,7 @@ stream's content is identical with or without a recovered fault:
   be interrupted, so a new worker takes the stuck thread's place, and
   neither :meth:`ShardReader.close` nor interpreter exit waits for it.
 - A **crashed thread pool** (``BrokenThreadPool``) is rebuilt and only
-  the window's unfinished shards resubmitted, at most
+  the submitted shards not loaded yet are resubmitted, at most
   ``max_worker_crashes`` times per iteration pass.
 - A shard that stays **corrupt** after retries follows the
   ``on_corrupt`` policy: ``"raise"`` propagates a
@@ -31,8 +32,9 @@ stream's content is identical with or without a recovered fault:
   tries to heal the primary from the dataset's ``mirror/`` replica
   (stream content unchanged — bit-identical), else moves the damaged
   file into ``quarantine/`` and skips that shard, recording it in
-  :attr:`ShardReader.quarantined`. Either way the window's shards not
-  loaded yet are read again.
+  :attr:`ShardReader.quarantined`. Either way a new stream then reads
+  the remaining shards that are neither loaded nor quarantined; shards
+  already loaded are not read again.
 
 Every incident feeds ``repro.observe``: ``data.*`` counters
 (``read_retries`` / ``worker_crashes`` / ``read_timeouts`` /
@@ -44,8 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,10 +90,11 @@ class ShardReader:
         Read threads of the reader's
         :class:`~repro.runtime.ThreadExecutor`.
     prefetch:
-        Windows of ``workers`` shards loaded or loading at once, the
-        consumer's current window included: at most
-        ``workers * prefetch`` shards are held, whatever the dataset
-        size. With ``prefetch=1`` reads do not overlap the consumer.
+        Read-ahead depth in units of ``workers`` shards: at most
+        ``workers * prefetch`` shards are loaded or loading and not yet
+        passed on, the consumer's current one included, whatever the
+        dataset size. With ``workers=1, prefetch=1`` reads do not
+        overlap the consumer.
     faults:
         :class:`~repro.runtime.FaultPolicy` (or dict / ``None``)
         governing per-shard read retries, backoff, the per-shard
@@ -143,9 +144,6 @@ class ShardReader:
         self._position = start
         self.quarantined: list[int] = []
         self._executor = ThreadExecutor(workers)
-        # One thread runs each window's map, so the next windows are
-        # read while the consumer works through the current one.
-        self._ahead = ThreadPoolExecutor(max_workers=1)
         self._closed = False
         self._resumed = threading.Event()
         self._resumed.set()
@@ -181,14 +179,18 @@ class ShardReader:
 
     # -- pause / resume ----------------------------------------------------
     def pause(self) -> None:
-        """Suspend prefetching: the window being read finishes, and no
-        new window starts until :meth:`resume` (the torchdata
-        reading-service pause verb — used around phase boundaries and
-        snapshots)."""
+        """Suspend the stream (the torchdata reading-service pause verb
+        — used around phase boundaries and snapshots).
+
+        The consumer's next request for a shard blocks until
+        :meth:`resume`, so no new read is submitted. Reads already
+        submitted (at most ``workers * prefetch``) run to completion,
+        and no read timeout is checked while paused.
+        """
         self._resumed.clear()
 
     def resume(self) -> None:
-        """Undo :meth:`pause`; the next window may start."""
+        """Undo :meth:`pause`; the consumer's next request proceeds."""
         self._resumed.set()
 
     @property
@@ -224,92 +226,75 @@ class ShardReader:
         self.start()
         n_shards = self.dataset.n_shards
         offset = self.dataset.row_offset(self._position)
-        crashes = 0  # thread-pool crashes so far in this pass
-
-        def read(window):
-            nonlocal crashes  # windows are read one at a time, in order
-            self._resumed.wait()  # while paused, no new window starts
-            if self._closed:
-                raise ValidationError("reader is closed")
-            loaded, crashes = self._read_window(window, crashes)
-            return loaded
-
-        windows = [range(first, min(first + self.workers, n_shards))
-                   for first in range(self._position, n_shards,
-                                      self.workers)]
-        ahead: deque = deque()  # the next windows' reads, in order
-        try:
-            for k, window in enumerate(windows):
-                if self._closed:
-                    raise ValidationError("reader is closed")
-                for later in windows[k + len(ahead):k + self.prefetch]:
-                    ahead.append(self._ahead.submit(read, later))
-                try:
-                    loaded = ahead.popleft().result()
-                except CancelledError:  # close() from another thread
-                    raise ValidationError("reader is closed") from None
-                for index in window:
-                    rows = self.dataset.shards[index].rows
-                    self._position = index + 1
-                    if index in loaded:
-                        yield ShardBatch(index=index, offset=offset,
-                                         rows=rows, arrays=loaded.pop(index))
-                    offset += rows
-        finally:
-            self.close()
-
-    def _read_window(self, window, crashes: int):
-        """Load ``window`` as one executor ``map`` (one shard per chunk).
-
-        Returns ``({index: arrays}, crashes)``: the shards not
-        quarantined, and the pass's crash count including this window's.
-        A corrupt shard under ``"quarantine"`` is healed (once) or
-        quarantined; then only the shards not loaded yet are read again.
-        """
-        loaded: dict = {}
+        loaded: dict = {}  # shards read and not delivered yet
         healed: set[int] = set()
+        crashes = 0  # thread-pool crashes so far in this pass
+        first = self._position  # the stream's first shard
 
         def load(dataset, index):
-            loaded[index] = self._load(dataset, index)
+            # A restarted stream skips what its predecessor dealt with.
+            if index not in loaded and index not in self.quarantined:
+                loaded[index] = self._load(dataset, index)
 
-        while True:
-            todo = [index for index in window if index not in loaded
-                    and index not in self.quarantined]
-            if not todo:
-                return loaded, crashes
+        def on_fault(event):
+            nonlocal crashes
+            crashes += event.kind == "worker_crash"
+            self._record_fault(event.kind, first + event.chunk_index,
+                               event.attempt, event.error)
 
-            def on_fault(event):
-                nonlocal crashes
-                crashes += event.kind == "worker_crash"
-                self._record_fault(event.kind, todo[event.chunk_index],
-                                   event.attempt, event.error)
+        def read(policy):
+            return self._executor.imap(
+                load, range(first, n_shards),
+                inflight=self.workers * self.prefetch, shared=self.dataset,
+                chunk_size=1, stage="data.read", faults=policy,
+                fault_hook=on_fault)
 
-            # The executor counts crashes per map call; the budget is
-            # per pass, so each window gets what is left of it.
-            policy = replace(self.faults, max_worker_crashes=(
-                self.faults.max_worker_crashes - crashes))
-            try:
-                self._executor.map(
-                    load, todo, shared=self.dataset, chunk_size=1,
-                    stage="data.read", faults=policy, fault_hook=on_fault)
-            except TaskError as error:
-                index, cause = todo[error.chunk_index], error.__cause__
-                if not isinstance(cause, ShardCorruptionError):
-                    raise TaskError(stage="data.read", chunk_index=index,
-                                    backend="reader",
-                                    attempts=error.attempts,
-                                    cause=cause) from cause
-                if self.on_corrupt == "raise":
-                    raise cause from None
-                if index not in healed \
-                        and self.dataset.heal_from_mirror(index):
-                    healed.add(index)
-                    self._record_fault("corrupt_healed", index, 0,
-                                       repr(cause))
-                else:
-                    self.dataset.quarantine_shard(index)
-                    self.quarantined.append(index)
-                    self._record_fault("quarantine", index, 0, repr(cause))
+        stream = read(self.faults)
+        try:
+            for index in range(self._position, n_shards):
+                while True:  # one pull per shard, in order
+                    self._resumed.wait()  # paused: no pull, no new read
+                    if self._closed:
+                        raise ValidationError("reader is closed")
+                    try:
+                        next(stream)
+                        break
+                    except TaskError as error:
+                        self._recover(first + error.chunk_index, error,
+                                      healed)
+                    # Restart from this shard. The crash budget is per
+                    # pass: the new stream gets what is left of it.
+                    first = index
+                    stream = read(replace(self.faults, max_worker_crashes=(
+                        self.faults.max_worker_crashes - crashes)))
+                rows = self.dataset.shards[index].rows
+                self._position = index + 1
+                if index in loaded:
+                    yield ShardBatch(index=index, offset=offset, rows=rows,
+                                     arrays=loaded.pop(index))
+                offset += rows
+        finally:
+            stream.close()
+            self.close()
+
+    def _recover(self, index: int, error: TaskError, healed: set) -> None:
+        """Answer a read of shard ``index`` that failed past its budget:
+        re-raise, or under ``"quarantine"`` heal a corrupt shard (once)
+        or quarantine it."""
+        cause = error.__cause__
+        if not isinstance(cause, ShardCorruptionError):
+            raise TaskError(stage="data.read", chunk_index=index,
+                            backend="reader", attempts=error.attempts,
+                            cause=cause) from cause
+        if self.on_corrupt == "raise":
+            raise cause from None
+        if index not in healed and self.dataset.heal_from_mirror(index):
+            healed.add(index)
+            self._record_fault("corrupt_healed", index, 0, repr(cause))
+        else:
+            self.dataset.quarantine_shard(index)
+            self.quarantined.append(index)
+            self._record_fault("quarantine", index, 0, repr(cause))
 
     def read_all(self) -> dict[str, np.ndarray]:
         """Stream every remaining shard and concatenate per array name.
@@ -335,11 +320,10 @@ class ShardReader:
     def close(self) -> None:
         """Stop reading and release the read threads. Idempotent.
 
-        Waits for the window being read, but never for a read abandoned
-        on timeout: the executor does not join its thread."""
+        Waits for the reads that are running, but never for a read
+        abandoned on timeout: the executor does not join its thread."""
         self._closed = True
         self._resumed.set()  # wake a consumer blocked on pause
-        self._ahead.shutdown(cancel_futures=True)
         self._executor.close()
 
     def __enter__(self):

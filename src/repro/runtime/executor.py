@@ -1,16 +1,17 @@
 """Interchangeable execution backends for coalition-scoring workloads.
 
 An :class:`Executor` runs ``fn(shared, task)`` over a list of tasks and
-returns the results *in task order*. Three backends implement the same
-contract:
+returns the results *in task order* — all at once (``map``) or as one
+ordered stream with a bound on the chunks in flight (``imap``). Three
+backends implement the same contract:
 
 - ``serial`` — plain in-process loop; zero overhead, the default.
 - ``thread`` — a pool of daemon threads; helps when the work releases
   the GIL (numpy linear algebra).
 - ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
   multi-core scaling. ``shared`` (typically the training arrays + model
-  prototype) is pickled **once** per ``map`` call into a spill file that
-  each worker loads on first use and keeps in a small cache keyed by the
+  prototype) is pickled **once** per call into a spill file that each
+  worker loads on first use and keeps in a small cache keyed by the
   payload's digest, so per-chunk IPC carries only the small task
   payloads.
 
@@ -34,12 +35,15 @@ undisturbed run, because tasks are pure.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import multiprocessing
 import os
 import pickle
 import tempfile
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -113,13 +117,38 @@ class Executor:
             faults=None, fault_hook=None) -> list:
         """Run ``fn(shared, task)`` for every task; return ordered results.
 
+        The list of everything :meth:`imap` yields, with no bound on the
+        chunks in flight; the parameters are :meth:`imap`'s.
+        """
+        return list(self.imap(fn, tasks, shared=shared,
+                              chunk_size=chunk_size, progress=progress,
+                              cancel=cancel, stage=stage, faults=faults,
+                              fault_hook=fault_hook))
+
+    def imap(self, fn, tasks, *, inflight: int | None = None, shared=None,
+             chunk_size: int | None = None, progress=None, cancel=None,
+             stage: str = "map", faults=None, fault_hook=None):
+        """Stream ``fn(shared, task)`` over the tasks; yield results in
+        task order.
+
+        Chunks are submitted lazily: at most ``inflight`` of them are
+        submitted and not yet consumed at any time, and a chunk counts as
+        consumed only once the caller asks for the result after its last
+        one. Closing the generator early cancels the chunks that have not
+        started and waits for the running ones, as a failure does.
+
         Parameters
         ----------
         fn:
             Module-level callable (must be picklable for the process
             backend) taking ``(shared, task)``.
+        inflight:
+            Bound on chunks submitted and not yet consumed; ``None``
+            (what :meth:`map` uses) submits every chunk at once. The
+            serial backend runs each chunk when its first result is
+            asked for, whatever the bound.
         shared:
-            Read-only state shipped to workers once per job.
+            Read-only state shipped to workers once per call.
         chunk_size:
             Tasks per submitted chunk; auto-sized when omitted.
         progress:
@@ -137,18 +166,16 @@ class Executor:
             incident — :class:`~repro.runtime.Runtime` uses it to feed
             ``repro.observe`` counters and span events.
         """
+        if inflight is not None and inflight < 1:
+            raise ValidationError("inflight must be >= 1")
         tasks = list(tasks)
-        if not tasks:
-            return []
-        if cancel is not None:
-            cancel.raise_if_cancelled(stage)
         if chunk_size is None:
             chunk_size = _default_chunk_size(len(tasks), self.effective_workers)
         chunks = [tasks[i:i + chunk_size]
                   for i in range(0, len(tasks), chunk_size)]
         policy = resolve_fault_policy(faults)
-        return self._run_chunks(fn, shared, chunks, len(tasks),
-                                progress, cancel, stage, policy, fault_hook)
+        return self._stream(fn, shared, chunks, len(tasks), inflight,
+                            progress, cancel, stage, policy, fault_hook)
 
     def _emit_fault(self, fault_hook, kind: str, stage: str, chunk_index: int,
                     attempt: int, error: BaseException, started: float) -> None:
@@ -158,8 +185,9 @@ class Executor:
                                   error=repr(error),
                                   elapsed=time.perf_counter() - started))
 
-    def _run_chunks(self, fn, shared, chunks, n_tasks, progress, cancel,
-                    stage, policy, fault_hook) -> list:
+    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
+                stage, policy, fault_hook):
+        """The generator behind :meth:`imap`."""
         raise NotImplementedError
 
     def close(self, wait: bool = True) -> None:
@@ -190,10 +218,10 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def _run_chunks(self, fn, shared, chunks, n_tasks, progress, cancel,
-                    stage, policy, fault_hook) -> list:
+    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
+                stage, policy, fault_hook):
         started = time.perf_counter()
-        results: list = []
+        completed = 0
         for idx, chunk in enumerate(chunks):
             if cancel is not None:
                 cancel.raise_if_cancelled(stage)
@@ -214,30 +242,23 @@ class SerialExecutor(Executor):
                     backoff_wait(policy.backoff * attempt, cancel, stage)
                 else:
                     break
-            results.extend(chunk_results)
+            completed += len(chunk)
             if progress is not None:
-                progress(ProgressEvent(stage, len(results), n_tasks,
+                progress(ProgressEvent(stage, completed, n_tasks,
                                        time.perf_counter() - started))
-        return results
+            yield from chunk_results
 
 
 class _PooledExecutor(Executor):
-    """Pool lifecycle, chunk collection and fault recovery shared by the
-    thread and process backends.
+    """Pool lifecycle and the streaming loop shared by the thread and
+    process backends.
 
     Each executor owns exactly one pool, built lazily on first
-    submission and shared by every concurrent :meth:`map` caller (a
+    submission and shared by every concurrent :meth:`imap` caller (a
     serving tier runs many jobs over one executor). Building,
     discarding and closing it are serialized by one lock. A backend
-    adds only :meth:`_new_pool` and :meth:`_submit`.
-
-    The collection loop is a small per-chunk state machine: every chunk
-    is submitted as one future; a task exception or timeout consumes one
-    unit of the chunk's retry budget (with deterministic linear backoff)
-    before resubmission; a broken pool triggers the policy's
-    ``on_worker_failure`` strategy; and an exhausted budget raises
-    :class:`TaskError` *after draining the pool*, so no zombie chunk is
-    still running when the exception reaches the caller.
+    adds only :meth:`_new_pool` and :meth:`_submit`; each call's chunk
+    bookkeeping and fault recovery live in a :class:`_ChunkRun`.
 
     Because the pool is shared, a dead worker (or a stuck one killed on
     timeout) breaks the in-flight chunks of *every* concurrent caller.
@@ -263,12 +284,14 @@ class _PooledExecutor(Executor):
         return self.max_workers or _available_cpus()
 
     def _new_pool(self):
-        """Build a fresh pool of :attr:`effective_workers` workers."""
+        """Build a fresh pool of :attr:`effective_workers` workers; it
+        offers ``submit``, ``shutdown`` and ``started(future)``."""
         raise NotImplementedError
 
-    def _submit(self, pool, fn, shipped, chunk):
+    def _submit(self, pool, fn, shipped, chunk, timed: bool):
         """Submit one chunk to ``pool``; returns a future. ``shipped``
-        is what the backend sends in place of ``shared``."""
+        is what the backend sends in place of ``shared``; ``timed``
+        says the chunk runs under a timeout."""
         raise NotImplementedError
 
     def _ensure_pool(self):
@@ -304,218 +327,260 @@ class _PooledExecutor(Executor):
             # is about to exit, and none of them may outlive it.
             _terminate(workers)
 
-    def _drain(self, pending) -> None:
-        for future in pending:
-            future.cancel()
-        running = {future for future in pending if not future.cancelled()}
-        if running:
-            wait(running, timeout=_DRAIN_TIMEOUT)
+    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
+                stage, policy, fault_hook, shipped=_UNSET):
+        run = _ChunkRun(self, fn, shared,
+                        shared if shipped is _UNSET else shipped, chunks,
+                        n_tasks, progress, cancel, stage, policy, fault_hook)
+        return run.stream(len(chunks) if inflight is None else inflight)
 
-    def _run_chunks(self, fn, shared, chunks, n_tasks, progress, cancel,
-                    stage, policy, fault_hook, shipped=_UNSET) -> list:
-        if shipped is _UNSET:
-            shipped = shared
-        started = time.perf_counter()
-        results: list = [_UNSET] * len(chunks)
-        attempts = [0] * len(chunks)
-        crashes = 0
-        completed_tasks = 0
-        pending: set = set()
-        chunk_of: dict = {}  # future -> (chunk index, the pool it ran in)
-        deadline_of: dict = {}  # future -> deadline, None until it runs
-        live: set = set()  # chunk indices with an active future
 
-        def forget(future) -> tuple:
-            pending.discard(future)
-            deadline_of.pop(future, None)
-            idx, pool = chunk_of.pop(future)
-            live.discard(idx)
-            return idx, pool
+class _ChunkRun:
+    """One pooled :meth:`Executor.imap` call: its chunks' futures,
+    attempts and results, and the fault recovery that acts on them.
 
-        def forget_all() -> list:
-            lost = sorted(idx for idx, _ in chunk_of.values())
-            pending.clear()
-            chunk_of.clear()
-            deadline_of.clear()
-            live.clear()
-            return lost
+    Every chunk is one future. A task exception or timeout consumes one
+    unit of the chunk's retry budget (with deterministic linear backoff)
+    before resubmission; a broken pool triggers the policy's
+    ``on_worker_failure`` strategy; and an exhausted budget raises
+    :class:`TaskError` at once, which :meth:`stream` answers by draining
+    the pool, so no zombie chunk is still running when the exception
+    reaches the caller.
 
-        def submit(idx: int) -> None:
-            if idx in live:
-                return  # already resubmitted by a nested recovery
-            pool = self._ensure_pool()
-            try:
-                future = self._submit(pool, fn, shipped, chunks[idx])
-            except RuntimeError as error:
-                # The pool broke, or another caller discarded it, between
-                # our fetching and this submission; recover (or raise)
-                # through the same path as a broken future. Recursion is
-                # bounded by max_worker_crashes.
-                pool_failure(idx, error, pool)
-                return
-            chunk_of[future] = idx, pool
-            pending.add(future)
-            live.add(idx)
-            if policy.timeout is not None:
-                deadline_of[future] = None
+    The object holds no bound method or callback, and :meth:`collect`
+    drops its references to the futures it reads (a failed future's
+    traceback holds that frame), so results are freed by reference
+    counting alone.
+    """
 
-        def record_success(idx: int, chunk_results) -> None:
-            nonlocal completed_tasks
-            if results[idx] is not _UNSET:
-                return  # duplicate completion after an abandoned timeout
-            results[idx] = chunk_results
-            completed_tasks += len(chunks[idx])
-            if progress is not None:
-                progress(ProgressEvent(stage, completed_tasks, n_tasks,
-                                       time.perf_counter() - started))
+    def __init__(self, executor, fn, shared, shipped, chunks, n_tasks,
+                 progress, cancel, stage, policy, fault_hook):
+        self.executor = executor
+        self.fn = fn
+        self.shared = shared
+        self.shipped = shipped
+        self.chunks = chunks
+        self.n_tasks = n_tasks
+        self.progress = progress
+        self.cancel = cancel
+        self.stage = stage
+        self.policy = policy
+        self.fault_hook = fault_hook
+        self.started = time.perf_counter()
+        self.results: list = [_UNSET] * len(chunks)  # None once consumed
+        self.attempts = [0] * len(chunks)
+        self.submitted = 0  # chunks 0 .. submitted - 1 were submitted
+        self.crashes = 0
+        self.completed_tasks = 0
+        self.degraded = False  # on_worker_failure="serial" took over
+        # future -> [chunk index, its pool, deadline (None until it runs)]
+        self.pending: dict = {}
+        self.live: set = set()  # chunk indices with a pending future
 
-        def unfinished() -> list:
-            return [idx for idx, slot in enumerate(results)
-                    if slot is _UNSET]
-
-        def task_failure(idx: int, error: BaseException) -> None:
-            # One chunk's own failure (task exception or timeout):
-            # bounded retry with deterministic linear backoff, then a
-            # structured TaskError. Timeouts are counted as incidents
-            # whether or not retry budget remains; "retry" records an
-            # actual resubmission.
-            attempts[idx] += 1
-            if isinstance(error, TimeoutError):
-                self._emit_fault(fault_hook, "timeout", stage, idx,
-                                 attempts[idx], error, started)
-            if attempts[idx] > policy.retries:
-                raise TaskError(stage=stage, chunk_index=idx,
-                                backend=self.name, attempts=attempts[idx],
-                                cause=error) from error
-            if not isinstance(error, TimeoutError):
-                self._emit_fault(fault_hook, "retry", stage, idx,
-                                 attempts[idx], error, started)
-            backoff_wait(policy.backoff * attempts[idx], cancel, stage)
-            submit(idx)
-
-        def pool_failure(idx: int, error: BaseException, pool) -> None:
-            # The pool itself died: every in-flight chunk is lost, not
-            # just the one whose future surfaced the break.
-            nonlocal crashes
-            crashes += 1
-            forget_all()
-            self._discard_pool(pool)
-            self._emit_fault(fault_hook, "worker_crash", stage, idx,
-                             attempts[idx], error, started)
-            if policy.on_worker_failure == "raise" \
-                    or crashes > policy.max_worker_crashes:
-                raise TaskError(stage=stage, chunk_index=idx,
-                                backend=self.name,
-                                attempts=attempts[idx] + 1,
-                                cause=error) from error
-            if policy.on_worker_failure == "serial":
-                # Graceful degradation: finish every remaining chunk in
-                # the parent process. Bit-identical because tasks are
-                # pure; slower, but the job completes.
-                self._emit_fault(fault_hook, "degraded", stage, idx,
-                                 attempts[idx], error, started)
-                for lost_idx in unfinished():
-                    if cancel is not None:
-                        cancel.raise_if_cancelled(stage)
-                    record_success(lost_idx, [fn(shared, task)
-                                              for task in chunks[lost_idx]])
-                return
-            # "retry": rebuild the pool lazily and resubmit only the
-            # chunks whose results were lost.
-            lost = unfinished()
-            for lost_idx in lost:
-                self._emit_fault(fault_hook, "retry", stage, lost_idx,
-                                 attempts[lost_idx], error, started)
-            backoff_wait(policy.backoff * crashes, cancel, stage)
-            for lost_idx in lost:
-                submit(lost_idx)
-
-        def expire_timeouts() -> None:
-            # A chunk's clock starts when its future starts running, not
-            # at submission: on a shared pool it may first queue behind
-            # other callers' chunks.
-            now = time.monotonic()
-            for future, deadline in deadline_of.items():
-                if deadline is None and future.running():
-                    deadline_of[future] = now + policy.timeout
-            expired = [future for future, deadline in deadline_of.items()
-                       if deadline is not None and deadline < now]
-            for future in expired:
-                if future not in chunk_of:
-                    continue
-                idx, pool = forget(future)
-                error = TimeoutError(
-                    f"chunk {idx} exceeded the per-chunk timeout of "
-                    f"{policy.timeout:g}s")
-                stuck = not future.cancel()  # False: it never started
-                if stuck and self._kills_stuck_workers:
-                    # Running in a worker we can only stop by killing the
-                    # pool; sibling in-flight chunks are collateral and
-                    # get resubmitted without consuming their budgets
-                    # (other callers' chunks recover as a pool failure).
-                    _terminate(_worker_processes(pool))
-                    self._discard_pool(pool)
-                    lost = forget_all()
-                    task_failure(idx, error)  # raises when budget exhausted
-                    for sibling in lost:
-                        submit(sibling)
-                else:
-                    if stuck:
-                        # A thread cannot be interrupted: the pool gives
-                        # its place to a new worker, and a late completion
-                        # of the pure task is harmless.
-                        pool.abandon(future)
-                    task_failure(idx, error)
-
+    def stream(self, ahead: int):
+        """Yield the results in order, keeping at most ``ahead`` chunks
+        submitted and not yet consumed."""
+        if not self.chunks:
+            return
+        if self.cancel is not None:
+            self.cancel.raise_if_cancelled(self.stage)
         try:
-            for idx in range(len(chunks)):
-                submit(idx)
-            while pending:
-                done, _ = wait(pending, timeout=0.1,
-                               return_when=FIRST_COMPLETED)
-                # wait() never reports a future that a pool shutdown
-                # cancelled (another caller's discard, or close()).
-                done |= {future for future in pending if future.cancelled()}
-                for future in done:
-                    if future not in chunk_of:
-                        continue  # forgotten by a pool failure/timeout
-                    idx, pool = forget(future)
-                    try:
-                        chunk_results = future.result()
-                    except JobCancelled:
-                        raise
-                    except (BrokenExecutor, CancelledError) as error:
-                        # Cancelled by another caller's discard of the
-                        # shared pool (our own cancels are forgotten).
-                        pool_failure(idx, error, pool)
-                    except Exception as error:
-                        task_failure(idx, error)
-                    else:
-                        record_success(idx, chunk_results)
-                if deadline_of:
-                    expire_timeouts()
-                if cancel is not None and cancel.cancelled:
-                    raise JobCancelled(f"{stage} cancelled by caller")
+            for idx in range(len(self.chunks)):
+                while self.submitted < min(idx + ahead, len(self.chunks)):
+                    self.submitted += 1
+                    self.submit(self.submitted - 1)
+                while self.results[idx] is _UNSET:
+                    self.collect()
+                chunk_results, self.results[idx] = self.results[idx], None
+                yield from chunk_results
         except ShutdownRequested:
             # Abandon in-flight chunks at once: the final checkpoint
             # flush must not wait on them within the signal's grace
             # period (the shutdown guard then releases the pool).
-            for future in pending:
-                future.cancel()
+            self.drain(timeout=0)
             raise
-        except BaseException:
-            self._drain(pending)
+        except BaseException:  # a failure, or the caller closed us
+            self.drain(timeout=_DRAIN_TIMEOUT)
             raise
+
+    def _fault(self, kind: str, idx: int, attempt: int,
+               error: BaseException) -> None:
+        self.executor._emit_fault(self.fault_hook, kind, self.stage, idx,
+                                  attempt, error, self.started)
+
+    def submit(self, idx: int) -> None:
+        if idx in self.live:
+            return  # already resubmitted by a nested recovery
+        if self.degraded:
+            if self.cancel is not None:
+                self.cancel.raise_if_cancelled(self.stage)
+            self.record(idx, [self.fn(self.shared, task)
+                              for task in self.chunks[idx]])
+            return
+        pool = self.executor._ensure_pool()
+        try:
+            future = self.executor._submit(pool, self.fn, self.shipped,
+                                           self.chunks[idx],
+                                           self.policy.timeout is not None)
+        except RuntimeError as error:
+            # The pool broke, or another caller discarded it, between
+            # our fetching and this submission; recover (or raise)
+            # through the same path as a broken future. Recursion is
+            # bounded by max_worker_crashes.
+            self.pool_failure(idx, error, pool)
+            return
+        self.pending[future] = [idx, pool, None]
+        self.live.add(idx)
+
+    def forget(self, future) -> tuple:
+        idx, pool, _ = self.pending.pop(future)
+        self.live.discard(idx)
+        return idx, pool
+
+    def forget_all(self) -> list:
+        lost = sorted(idx for idx, _, _ in self.pending.values())
+        self.pending.clear()
+        self.live.clear()
+        return lost
+
+    def record(self, idx: int, chunk_results) -> None:
+        if self.results[idx] is not _UNSET:
+            return  # duplicate completion after an abandoned timeout
+        self.results[idx] = chunk_results
+        self.completed_tasks += len(self.chunks[idx])
+        if self.progress is not None:
+            self.progress(ProgressEvent(self.stage, self.completed_tasks,
+                                        self.n_tasks,
+                                        time.perf_counter() - self.started))
+
+    def task_failure(self, idx: int, error: BaseException) -> None:
+        # One chunk's own failure (task exception or timeout): bounded
+        # retry with deterministic linear backoff, then a structured
+        # TaskError. Timeouts are counted as incidents whether or not
+        # retry budget remains; "retry" records an actual resubmission.
+        self.attempts[idx] += 1
+        attempts = self.attempts[idx]
+        if isinstance(error, TimeoutError):
+            self._fault("timeout", idx, attempts, error)
+        if attempts > self.policy.retries:
+            raise TaskError(stage=self.stage, chunk_index=idx,
+                            backend=self.executor.name, attempts=attempts,
+                            cause=error) from error
+        if not isinstance(error, TimeoutError):
+            self._fault("retry", idx, attempts, error)
+        backoff_wait(self.policy.backoff * attempts, self.cancel, self.stage)
+        self.submit(idx)
+
+    def pool_failure(self, idx: int, error: BaseException, pool) -> None:
+        # The pool itself died: every in-flight chunk is lost, not just
+        # the one whose future surfaced the break.
+        self.crashes += 1
+        self.forget_all()
+        self.executor._discard_pool(pool)
+        self._fault("worker_crash", idx, self.attempts[idx], error)
+        policy = self.policy
+        if policy.on_worker_failure == "raise" \
+                or self.crashes > policy.max_worker_crashes:
+            raise TaskError(stage=self.stage, chunk_index=idx,
+                            backend=self.executor.name,
+                            attempts=self.attempts[idx] + 1,
+                            cause=error) from error
+        lost = [lost_idx for lost_idx in range(self.submitted)
+                if self.results[lost_idx] is _UNSET]
+        if policy.on_worker_failure == "serial":
+            # Graceful degradation: every remaining chunk runs in the
+            # parent process. Bit-identical because tasks are pure;
+            # slower, but the job completes.
+            self._fault("degraded", idx, self.attempts[idx], error)
+            self.degraded = True
+        else:
+            # "retry": rebuild the pool lazily and resubmit only the
+            # chunks whose results were lost.
+            for lost_idx in lost:
+                self._fault("retry", lost_idx, self.attempts[lost_idx],
+                            error)
+            backoff_wait(policy.backoff * self.crashes, self.cancel,
+                         self.stage)
+        for lost_idx in lost:
+            self.submit(lost_idx)
+
+    def expire_timeouts(self) -> None:
+        # A chunk's clock starts when the chunk starts running, not at
+        # submission: on a shared pool it may first queue behind other
+        # callers' chunks. The pool says when that is.
+        now = time.monotonic()
+        for future, entry in self.pending.items():
+            if entry[2] is None and entry[1].started(future):
+                entry[2] = now + self.policy.timeout
+        expired = [future for future, (_, _, deadline) in self.pending.items()
+                   if deadline is not None and deadline < now]
+        for future in expired:
+            if future not in self.pending:
+                continue
+            idx, pool = self.forget(future)
+            error = TimeoutError(
+                f"chunk {idx} exceeded the per-chunk timeout of "
+                f"{self.policy.timeout:g}s")
+            stuck = not future.cancel()  # False: it never started
+            if stuck and self.executor._kills_stuck_workers:
+                # Running in a worker we can only stop by killing the
+                # pool; sibling in-flight chunks are collateral and get
+                # resubmitted without consuming their budgets (other
+                # callers' chunks recover as a pool failure).
+                _terminate(_worker_processes(pool))
+                self.executor._discard_pool(pool)
+                lost = self.forget_all()
+                self.task_failure(idx, error)  # raises when budget exhausted
+                for sibling in lost:
+                    self.submit(sibling)
+            else:
+                if stuck:
+                    # A thread cannot be interrupted: the pool gives its
+                    # place to a new worker, and a late completion of
+                    # the pure task is harmless.
+                    pool.abandon(future)
+                self.task_failure(idx, error)
+
+    def collect(self) -> None:
+        """Wait up to one poll interval; act on what finished, on
+        expired deadlines and on cancellation."""
+        try:
+            done, _ = wait(self.pending, timeout=0.1,
+                           return_when=FIRST_COMPLETED)
+            # wait() never reports a future that a pool shutdown
+            # cancelled (another caller's discard, or close()).
+            done |= {future for future in self.pending if future.cancelled()}
+            for future in done:
+                if future not in self.pending:
+                    continue  # forgotten by a pool failure/timeout
+                idx, pool = self.forget(future)
+                try:
+                    chunk_results = future.result()
+                except JobCancelled:
+                    raise
+                except (BrokenExecutor, CancelledError) as error:
+                    # Cancelled by another caller's discard of the
+                    # shared pool (our own cancels are forgotten).
+                    self.pool_failure(idx, error, pool)
+                except Exception as error:
+                    self.task_failure(idx, error)
+                else:
+                    self.record(idx, chunk_results)
+            if self.policy.timeout is not None and self.pending:
+                self.expire_timeouts()
+            if self.cancel is not None and self.cancel.cancelled:
+                raise JobCancelled(f"{self.stage} cancelled by caller")
         finally:
-            # submit and pool_failure call each other, so their closure
-            # cells form a cycle holding results, chunks and futures
-            # until the cyclic GC runs; emptying one cell breaks it. A
-            # failed future's traceback holds this frame, so the frame
-            # drops its own references to futures too.
-            del submit
             future = done = None
-        return [result for chunk_results in results
-                for result in chunk_results]
+
+    def drain(self, timeout: float) -> None:
+        """Cancel the pending futures and wait up to ``timeout`` seconds
+        for the running ones, so no zombie chunk races an exception."""
+        pending = list(self.pending)
+        self.forget_all()
+        running = [future for future in pending if not future.cancel()]
+        if running and timeout:
+            wait(running, timeout=timeout)
 
 
 def _run_chunk_with_shared(fn, shared, chunk):
@@ -584,6 +649,11 @@ class _ThreadPool:
             self._work_queue.put((future, fn, args))
         return future
 
+    def started(self, future) -> bool:
+        """True once a worker has picked ``future``'s task up: the
+        worker itself marks the future running."""
+        return future.running()
+
     def abandon(self, future) -> None:
         """Replace the worker running ``future`` (a no-op once the
         future is done)."""
@@ -625,7 +695,7 @@ class ThreadExecutor(_PooledExecutor):
     def _new_pool(self) -> _ThreadPool:
         return _ThreadPool(self.effective_workers)
 
-    def _submit(self, pool, fn, shipped, chunk):
+    def _submit(self, pool, fn, shipped, chunk, timed):
         return pool.submit(_run_chunk_with_shared, fn, shipped, chunk)
 
 
@@ -652,7 +722,22 @@ def _load_shared(digest: str, path: str):
     return shared
 
 
-def _run_chunk_in_worker(fn, spill, chunk):
+#: In a process-pool worker: the pool's table of running timed chunks
+#: and this worker's slot in it (see :class:`_ProcessPool`).
+_RUNNING = None
+
+
+def _init_worker(running, slots) -> None:
+    global _RUNNING
+    with slots.get_lock():
+        _RUNNING = running, slots.value % len(running)
+        slots.value += 1
+
+
+def _run_chunk_in_worker(fn, spill, chunk, token=0):
+    if token:
+        running, slot = _RUNNING
+        running[slot] = token
     shared = _load_shared(*spill)
     return [fn(shared, task) for task in chunk]
 
@@ -664,17 +749,53 @@ def _unlink(path: str) -> None:
         pass
 
 
+class _ProcessPool(ProcessPoolExecutor):
+    """The process backend's pool: a
+    :class:`~concurrent.futures.ProcessPoolExecutor` that knows which
+    timed chunks its workers are running.
+
+    The pool marks a future running as soon as its chunk enters the call
+    queue, which holds one chunk more than there are workers, so a
+    deadline armed then would count time the chunk spends queued. A
+    timed chunk instead carries a token that its worker writes into its
+    own slot of a shared table when it starts the chunk; :meth:`started`
+    looks the token up there. The table takes no lock, so a worker
+    killed mid-write cannot block anyone.
+    """
+
+    def __init__(self, workers: int):
+        self._running = multiprocessing.Array("q", workers, lock=False)
+        super().__init__(max_workers=workers, initializer=_init_worker,
+                         initargs=(self._running,
+                                   multiprocessing.Value("i", 0)))
+        self._tokens = itertools.count(1)
+        self._token_of = weakref.WeakKeyDictionary()  # future -> token
+
+    def submit_timed(self, fn, *args) -> Future:
+        """:meth:`submit` ``fn(*args, token)``; the worker running it
+        shows ``token`` in the table."""
+        token = next(self._tokens)
+        future = self.submit(fn, *args, token)
+        self._token_of[future] = token
+        return future
+
+    def started(self, future) -> bool:
+        """True while a worker runs ``future``'s chunk."""
+        return self._token_of.get(future) in self._running[:]
+
+
 class ProcessExecutor(_PooledExecutor):
     """Process-pool backend: one worker pool for every caller's payload.
 
-    Each :meth:`map` call pickles ``shared`` once and writes the bytes to
-    a spill file that lives only as long as that call (or until
-    :meth:`close`). It is scratch data, so it is not fsynced. Every chunk
-    carries the payload's SHA-256 digest and the spill path; a worker
-    answers it from its small cache of unpickled payloads and reads the
-    spill file only on a miss. Repeated rounds over one payload therefore
-    reach each worker once, and concurrent callers with different
-    payloads (the multi-tenant serving case) share the same workers.
+    Each :meth:`imap` call pickles ``shared`` once and writes the bytes
+    to a spill file that lives only as long as that call's generator (or
+    until :meth:`close`). It is scratch data, so it is not fsynced. Every
+    chunk carries the payload's SHA-256 digest and the spill path; a
+    worker answers it from its small cache of unpickled payloads and
+    reads the spill file only on a miss. Repeated rounds over one payload
+    therefore reach each worker once, and concurrent callers with
+    different payloads (the multi-tenant serving case) share the same
+    workers.
     """
 
     name = "process"
@@ -682,15 +803,20 @@ class ProcessExecutor(_PooledExecutor):
 
     def __init__(self, max_workers: int | None = None):
         super().__init__(max_workers)
-        self._spills: set[str] = set()  # spill files of in-flight maps
+        self._spills: set[str] = set()  # spill files of unfinished calls
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.effective_workers)
+    def _new_pool(self) -> _ProcessPool:
+        return _ProcessPool(self.effective_workers)
 
-    def _submit(self, pool, fn, shipped, chunk):
+    def _submit(self, pool, fn, shipped, chunk, timed):
+        if timed:
+            return pool.submit_timed(_run_chunk_in_worker, fn, shipped,
+                                     chunk)
         return pool.submit(_run_chunk_in_worker, fn, shipped, chunk)
 
-    def _run_chunks(self, fn, shared, chunks, *args) -> list:
+    def _stream(self, fn, shared, chunks, *args):
+        if not chunks:
+            return
         payload = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
         fd, path = tempfile.mkstemp(prefix="repro-shared-", suffix=".pkl")
@@ -699,7 +825,7 @@ class ProcessExecutor(_PooledExecutor):
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-            return super()._run_chunks(fn, shared, chunks, *args,
+            yield from super()._stream(fn, shared, chunks, *args,
                                        shipped=(digest, path))
         finally:
             with self._pool_lock:

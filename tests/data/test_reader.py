@@ -113,6 +113,38 @@ class TestBasicStreaming:
                 time.sleep(0.01)
             assert loads == [0, 1, 2]
 
+    def test_reads_run_past_a_held_shard(self, dataset):
+        """While shard 0's read is held, the other worker reads every
+        shard the ``workers * prefetch`` bound admits: no read waits
+        for a slower neighbour to finish."""
+        gate = threading.Event()
+        loads = []
+
+        def held_load(dataset, index):
+            if index == 0:
+                gate.wait(30)
+            loads.append(index)
+            return dataset.load_shard(index)
+
+        reader = ShardReader(dataset, workers=2, prefetch=2,
+                             load_fn=held_load)
+        delivered = []
+        consumer = threading.Thread(
+            target=lambda: delivered.extend(b.index for b in reader),
+            daemon=True)
+        consumer.start()
+        try:
+            deadline = time.monotonic() + 5
+            while len(loads) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)  # room to read past the bound, were there any
+            assert sorted(loads) == [1, 2, 3]
+        finally:
+            gate.set()
+            consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert delivered == list(range(dataset.n_shards))
+
     def test_validation(self, dataset):
         with pytest.raises(ValidationError):
             ShardReader(dataset, workers=0)

@@ -3,6 +3,7 @@
 import os
 import pickle
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.exceptions import ValidationError
 from repro.runtime import (
     BACKENDS,
+    FaultPolicy,
     ProcessExecutor,
     ProgressRecorder,
     SerialExecutor,
@@ -60,11 +62,15 @@ class TestMapContract:
     def test_results_in_task_order(self, backend):
         with get_executor(backend, max_workers=2) as executor:
             out = executor.map(_affine, range(23), shared=(2, 1))
-        assert out == [2 * i + 1 for i in range(23)]
+            streamed = list(executor.imap(_affine, range(23), shared=(2, 1),
+                                          chunk_size=2, inflight=3))
+        assert out == streamed == [2 * i + 1 for i in range(23)]
 
     def test_empty_task_list(self, backend):
         with get_executor(backend, max_workers=2) as executor:
             assert executor.map(_affine, [], shared=(1, 0)) == []
+            assert list(executor.imap(_affine, [], shared=(1, 0),
+                                      inflight=1)) == []
 
     def test_chunk_size_does_not_change_results(self, backend):
         with get_executor(backend, max_workers=2) as executor:
@@ -94,6 +100,93 @@ class TestMapContract:
         assert recorder.last.total == 10
         assert recorder.last.stage == "affine"
         assert recorder.last.fraction == 1.0
+
+
+def _mark_started(marks, task):
+    """Leave a file per started task: countable across processes."""
+    open(os.path.join(marks, f"started-{task}"), "w").close()
+    return task
+
+
+def _nap(seconds, task):
+    time.sleep(seconds)
+    return task
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestImapContract:
+    """``imap`` streams what ``map`` returns, with at most ``inflight``
+    chunks started and not yet consumed."""
+
+    def test_inflight_bounds_chunks_started_ahead(self, backend, tmp_path):
+        n_tasks, inflight = 10, 3
+        # The serial backend runs a chunk when its result is asked for.
+        ahead = 1 if backend == "serial" else inflight
+        with get_executor(backend, max_workers=2) as executor:
+            stream = executor.imap(_mark_started, range(n_tasks),
+                                   shared=str(tmp_path), chunk_size=1,
+                                   inflight=inflight)
+            for consumed, result in enumerate(stream):
+                # ``consumed`` results were asked past; this one is held.
+                assert result == consumed
+                expected = consumed + min(ahead, n_tasks - consumed)
+                deadline = time.monotonic() + 5
+                while len(os.listdir(tmp_path)) < expected \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.05)  # room to overrun, were there any
+                assert len(os.listdir(tmp_path)) == expected
+
+    def test_close_after_first_result_leaves_nothing_pending(
+            self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        futures = []
+        with get_executor(backend, max_workers=2) as executor:
+            if backend != "serial":
+                submit = executor._submit
+
+                def recording_submit(*args):
+                    futures.append(submit(*args))
+                    return futures[-1]
+
+                monkeypatch.setattr(executor, "_submit", recording_submit)
+            stream = executor.imap(_nap, range(8), shared=0.05, chunk_size=1,
+                                   inflight=3)
+            assert next(stream) == 0
+            spills = os.listdir(tmp_path)
+            stream.close()
+            assert len(futures) == (0 if backend == "serial" else 3)
+            assert all(future.done() for future in futures)
+            assert len(spills) == (backend == "process")
+            assert os.listdir(tmp_path) == []
+
+    def test_faults_and_task_error_match_map(self, backend):
+        def run(collect):
+            events = []
+            with get_executor(backend, max_workers=2) as executor:
+                with pytest.raises(TaskError) as info:
+                    collect(executor, events.append)
+            error = info.value
+            return ([(event.kind, event.chunk_index, event.attempt)
+                     for event in events],
+                    (error.stage, error.chunk_index, error.backend,
+                     error.attempts, repr(error.__cause__)))
+
+        options = dict(shared=None, chunk_size=1, stage="same",
+                       faults=FaultPolicy(retries=1, backoff=0.0))
+        mapped = run(lambda executor, hook: executor.map(
+            _failing, range(6), fault_hook=hook, **options))
+        streamed = run(lambda executor, hook: list(executor.imap(
+            _failing, range(6), inflight=2, fault_hook=hook, **options)))
+        assert streamed == mapped
+        assert mapped == ([("retry", 3, 1)],
+                          ("same", 3, backend, 2,
+                           repr(ValueError("task 3 exploded"))))
+
+    def test_inflight_must_be_positive(self, backend):
+        with get_executor(backend, max_workers=2) as executor:
+            with pytest.raises(ValidationError):
+                executor.imap(_affine, range(3), shared=(1, 0), inflight=0)
 
 
 class TestProcessPoolReuse:

@@ -346,6 +346,22 @@ class TestTimeouts:
         assert observer.metrics.snapshot()["executor.timeouts"] == 1
 
 
+    def test_process_clock_starts_when_the_chunk_runs(self):
+        # One worker and four 0.4 s chunks. The pool moves a chunk into
+        # its call queue (and marks it running) while the chunk ahead
+        # of it still runs, so a clock started then would expire chunk
+        # 1 at 0.6 s, before it finished at 0.8 s. Counted from the
+        # worker's own start stamp, no chunk comes near the timeout.
+        observer = Observer()
+        with Runtime(backend="process", max_workers=1, chunk_size=1,
+                     observer=observer,
+                     faults=FaultPolicy(retries=0, timeout=0.6,
+                                        backoff=0.0)) as runtime:
+            results = runtime.map(_sleepy, [0.4] * 4, stage="queued")
+        assert results == [0.4] * 4
+        assert "executor.timeouts" not in observer.metrics.snapshot()
+
+
 def _slow_once(shared, task):
     try:
         os.rename(shared, shared + ".claimed")

@@ -63,3 +63,14 @@ def test_partial_results_freed_after_failed_map(no_gc):
                          faults={"retries": 0})
         assert _MADE
         assert sum(ref() is not None for ref in _MADE) == 0
+
+
+def test_unconsumed_results_freed_after_closed_stream(no_gc):
+    _MADE.clear()
+    with ThreadExecutor(max_workers=2) as executor:
+        stream = executor.imap(_tracked, [0, 1, 2], chunk_size=1, inflight=3)
+        next(stream)
+        stream.close()
+        del stream
+        assert _MADE
+        assert sum(ref() is not None for ref in _MADE) == 0
