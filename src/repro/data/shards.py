@@ -40,7 +40,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import pickle
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +144,51 @@ def _pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
                      *blobs])
 
 
+_NPY_MAGIC = b"\x93NUMPY"
+#: ``.npy`` formats 1.0 and 2.0, whose header length takes 2 and 4 bytes.
+_NPY_VERSION = re.compile(re.escape(_NPY_MAGIC)
+                          + rb"(?:\x01\x00(..)|\x02\x00(....))", re.S)
+#: The header ``np.save`` writes for a plain dtype (bool, integer,
+#: float, complex, bytes or str at an explicit byte order): keys in
+#: sorted order, then space padding and one newline.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][biufcSU][1-9][0-9]*)', "
+    rb"'fortran_order': (True|False), "
+    rb"'shape': \((|[0-9]+,|[0-9]+(?:, [0-9]+)+)\), \} *\n")
+
+
+def _decode_npy(blob: memoryview) -> np.ndarray:
+    """One ``.npy`` blob as ``np.load`` returns it: a private copy of
+    the data, reshaped into the written order.
+
+    A header in the plain grammar above is parsed here and the data
+    copied once out of ``blob``. Any other ``.npy`` header goes through
+    ``np.load``: object arrays are pickles, and structured, datetime and
+    format 3.0 headers need numpy's own parser. Damage raises
+    ``ValueError`` (or the unpickler's errors).
+    """
+    if blob[:len(_NPY_MAGIC)] != _NPY_MAGIC:
+        raise ValueError("not an .npy blob")
+    version = _NPY_VERSION.match(blob)
+    header = None if version is None else _NPY_HEADER.fullmatch(
+        blob, version.end(), version.end() + int.from_bytes(
+            version.group(1) or version.group(2), "little"))
+    if header is None:
+        return np.load(io.BytesIO(blob), allow_pickle=True)
+    descr, fortran_order, dims = header.groups()
+    dtype = np.dtype(descr.decode())
+    shape = tuple(int(dim) for dim in dims.split(b",") if dim)
+    count = math.prod(shape)
+    offset = header.end()
+    if len(blob) - offset != count * dtype.itemsize:
+        raise ValueError(f"expected {count * dtype.itemsize} bytes of "
+                         f"array data, got {len(blob) - offset}")
+    array = np.frombuffer(blob, dtype, count, offset).copy()
+    if fortran_order == b"True":
+        return array.reshape(shape[::-1]).transpose()
+    return array.reshape(shape)
+
+
 def _unpack_arrays(data: bytes, *, index: int | None = None,
                    path=None) -> dict[str, np.ndarray]:
     """Decode a shard container; raises :class:`ShardCorruptionError`."""
@@ -163,15 +211,16 @@ def _unpack_arrays(data: bytes, *, index: int | None = None,
         raise corrupt(f"garbled header: {error}") from error
     cursor += header_len
     arrays: dict[str, np.ndarray] = {}
+    view = memoryview(data)
     for entry in header.get("arrays", []):
         start = cursor + int(entry["offset"])
         end = start + int(entry["length"])
         if end > len(data):
             raise corrupt(f"array {entry['name']!r} extends past the file")
         try:
-            arrays[entry["name"]] = np.load(io.BytesIO(data[start:end]),
-                                            allow_pickle=True)
-        except (ValueError, OSError) as error:
+            arrays[entry["name"]] = _decode_npy(view[start:end])
+        except (ValueError, OSError, EOFError,
+                pickle.UnpicklingError) as error:
             raise corrupt(f"array {entry['name']!r} failed to decode: "
                           f"{error}") from error
     return arrays

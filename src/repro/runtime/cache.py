@@ -20,6 +20,7 @@ surfaced in evaluation reports and benchmark output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import tempfile
@@ -38,6 +39,13 @@ _CORRUPT = object()
 
 # --- stable fingerprinting -------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    """``str(dtype)`` encoded: the array part of a fingerprint. Equal
+    dtypes print alike, so one entry serves every equal dtype."""
+    return str(dtype).encode()
+
+
 def _update_hash(h, part) -> None:
     """Feed one object into the hash with explicit type tags so that e.g.
     the int 1, the float 1.0 and the string "1" never collide."""
@@ -46,7 +54,7 @@ def _update_hash(h, part) -> None:
     elif isinstance(part, np.ndarray):
         arr = np.ascontiguousarray(part)
         h.update(b"\x00A")
-        h.update(str(arr.dtype).encode())
+        h.update(_dtype_tag(arr.dtype))
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     elif isinstance(part, (bool, np.bool_)):

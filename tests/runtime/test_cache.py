@@ -1,5 +1,6 @@
 """Tests for fingerprinting and the two-tier FingerprintCache."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,21 @@ class TestFingerprint:
         assert fingerprint(np.zeros(4, dtype=np.int64)) != \
             fingerprint(np.zeros(4, dtype=np.float64))
         assert fingerprint(np.zeros((2, 2))) != fingerprint(np.zeros(4))
+
+    @pytest.mark.parametrize("dtype", [
+        "bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+        "uint32", "uint64", "float16", "float32", "float64", "complex64",
+        "complex128", "<U3", "|S3", ">i4", ">u8", ">f8", ">c16", ">U3",
+        "object", np.dtype("float64", metadata={"unit": "m"})])
+    def test_array_key_matches_the_str_dtype_oracle(self, dtype):
+        # The dtype's tag is memoized per dtype: the first and the
+        # memoized key hash the same bytes as str(dtype) did unmemoized.
+        array = np.zeros((2, 3), dtype=dtype)
+        oracle = hashlib.sha256(
+            b"\x00A" + str(array.dtype).encode()
+            + str(array.shape).encode() + array.tobytes()).hexdigest()
+        assert fingerprint(array) == oracle
+        assert fingerprint(array) == oracle
 
     def test_type_tags_prevent_scalar_collisions(self):
         assert fingerprint(1) != fingerprint(1.0)

@@ -336,10 +336,11 @@ class TestSharedPoolFaults:
             results = self._run_pair(
                 executor,
                 # five 0.5 s chunks: the second caller's chunk starts
-                # ~2.5 s after submission. The pool marks a future
-                # running when it enters the call queue (two slots for
-                # one worker), so its clock starts while one chunk runs
-                # and one more waits ahead of it: ~1 s before it runs.
+                # ~2.5 s after submission. Its clock starts from the
+                # worker's start stamp (the chunk's token, written into
+                # the pool's running table as the worker starts it), so
+                # the ~2.5 s it waits, longer than the 1.75 s timeout,
+                # does not count; only its instant run does.
                 dict(fn=_slow_affine, tasks=range(5), chunk_size=1,
                      shared=(2, 0, str(marker), (0.5,) * 5)),
                 dict(fn=_affine, tasks=range(1), shared=(3, 1),
