@@ -199,7 +199,8 @@ class JobQueue:
 
     # -- dispatch ----------------------------------------------------------
     def pop(self, timeout: float | None = None) -> Job | None:
-        """Dispatch the next job by stride order; ``None`` on timeout.
+        """Dispatch the next job by stride order; ``None`` on timeout,
+        and at once when the queue is :meth:`drained`.
 
         Skips tenants at their ``max_active`` quota and jobs parked for
         lease backoff. Cancelled-while-pending jobs are dropped here
@@ -222,6 +223,8 @@ class JobQueue:
                         self.observer.gauge("serve.queue_depth",
                                             self._pending)
                     return job
+                if self._drained():
+                    return None
                 wait = self._next_wait(deadline)
                 if wait is not None and wait <= 0:
                     return None
@@ -283,6 +286,16 @@ class JobQueue:
                 self._parked.remove(job)
                 return True
         return False
+
+    def _drained(self) -> bool:
+        # caller holds the lock
+        return self._closed and self._pending == 0 and not self._parked
+
+    def drained(self) -> bool:
+        """Closed with nothing pending or parked: no job will dispatch
+        again (jobs already dispatched may still be running)."""
+        with self._cond:
+            return self._drained()
 
     @property
     def pending(self) -> int:

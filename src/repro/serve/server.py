@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.core.exceptions import ValidationError
@@ -81,7 +82,9 @@ class Server:
         Dispatch threads; each runs one job at a time.
     queue_capacity / retry_after:
         Admission bound and base backoff hint (see
-        :class:`~repro.serve.JobQueue`).
+        :class:`~repro.serve.JobQueue`). ``queue_capacity`` also bounds
+        how many settled jobs the server keeps for ``status`` /
+        ``result``: past it, the oldest settled job is forgotten.
     tenants:
         Optional mapping ``name -> dict(weight=, max_pending=,
         max_active=)`` registered up front; unknown tenants are
@@ -125,11 +128,12 @@ class Server:
                                     observer=self.observer)
         self._tenants: dict[str, _Tenant] = {}
         self._jobs: dict[str, Job] = {}
+        # ids whose _jobs entry has settled, oldest settlement first
+        self._settled: OrderedDict[str, None] = OrderedDict()
         self._lock = threading.Lock()
         for name, cfg in (tenants or {}).items():
             self.register_tenant(name, **cfg)
         self._seq = 0
-        self._draining = False
         self._stop_event = threading.Event()
         self._workers = [Worker(self, i) for i in range(workers)]
         for worker in self._workers:
@@ -174,8 +178,10 @@ class Server:
         Resubmitting a ``job_id`` whose previous incarnation is terminal
         re-enqueues it — with the same id, method, params, seed and data
         it resumes from its checkpoint, which is also the adoption path
-        after a crash. Sampling methods must carry an integer ``seed``
-        in ``params`` (every job is checkpointed for lease adoption).
+        after a crash. The same holds for an id the server has forgotten
+        (more than ``queue_capacity`` jobs settled after it). Sampling
+        methods must carry an integer ``seed`` in ``params`` (every job
+        is checkpointed for lease adoption).
         """
         params = dict(params or {})
         if method != "loo" and "seed" not in params:
@@ -214,7 +220,10 @@ class Server:
                                     tenant=tenant, method=method)
             raise
         with self._lock:
+            self._settled.pop(job_id, None)
             self._jobs[job_id] = job
+            if job.finished:  # settled before it was registered
+                self._retire(job)
         if self.observer.enabled:
             self.observer.count("serve.jobs.submitted")
             self.observer.event("job.submit", job_id=job_id, tenant=tenant,
@@ -393,8 +402,24 @@ class Server:
         # The terminal transition comes LAST: it releases result()
         # waiters, who may immediately read the metrics written above.
         job.transition(state, error=error, result=result)
+        with self._lock:
+            self._retire(job)
         if dequeue:
             self._queue.task_done(job.spec.tenant)
+
+    def _retire(self, job: Job) -> None:
+        """Record a settled job (caller holds ``_lock``) and forget the
+        oldest settled jobs beyond ``queue_capacity``. A job that is
+        not (yet, or any longer) the one registered under its id is
+        skipped: ``submit`` records it once registered."""
+        job_id = job.spec.job_id
+        if self._jobs.get(job_id) is not job:
+            return
+        self._settled[job_id] = None
+        self._settled.move_to_end(job_id)
+        while len(self._settled) > self._queue.capacity:
+            oldest, _ = self._settled.popitem(last=False)
+            del self._jobs[oldest]
 
     def _settle_unexpected(self, job: Job, exc: BaseException) -> None:
         job.anytime.mark_failed(exc)
@@ -413,7 +438,6 @@ class Server:
         run to completion. Returns ``True`` when everything settled
         within ``timeout``.
         """
-        self._draining = True
         self._queue.close()
         if stop_running:
             with self._lock:

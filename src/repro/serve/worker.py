@@ -29,6 +29,10 @@ from repro.runtime.progress import JobCancelled
 
 __all__ = ["Worker", "run_method"]
 
+#: Seconds a worker blocks in one ``JobQueue.pop`` before it rechecks
+#: the server's stop flag; a closed, empty queue wakes it at once.
+POLL_SECONDS = 0.1
+
 
 def run_method(method: str, utility, params: dict, *, observer=None,
                checkpoint=None, resume_from=None, partial=None):
@@ -93,12 +97,14 @@ class Worker(threading.Thread):
 
     def run(self) -> None:
         server = self.server
-        while True:
-            if server._stop_event.is_set():
-                return
-            job = server._queue.pop(timeout=0.1)
+        while not server._stop_event.is_set():
+            job = server._queue.pop(timeout=POLL_SECONDS)
             if job is None:
-                if server._draining and server._queue.idle():
+                # Exit once no job can dispatch again. Not on idle():
+                # that also waits for other workers' running jobs, and
+                # pop returns at once on a drained queue, so waiting
+                # for them here would spin.
+                if server._queue.drained():
                     return
                 continue
             try:

@@ -57,10 +57,6 @@ X, y = make_blobs(40, n_features=2, centers=2, seed=0)
 LogisticRegression().fit(X, y)
 """, "scipy.optimize"),
     ("""
-from repro.serve import AnytimeEstimate
-AnytimeEstimate()
-""", "scipy.special"),
-    ("""
 from repro.importance.beta_shapley import beta_size_weights
 beta_size_weights(10, 16.0, 1.0)
 """, "scipy.special"),
@@ -68,8 +64,7 @@ beta_size_weights(10, 16.0, 1.0)
 from repro.pipelines import source, to_networkx
 to_networkx(source("a").filter(("x", 1)))
 """, "networkx"),
-], ids=["logistic_fit", "anytime_estimate", "beta_size_weights",
-        "to_networkx"])
+], ids=["logistic_fit", "beta_size_weights", "to_networkx"])
 def test_each_deferred_site_loads_its_dependency(call, expected):
     loaded = _loaded_after(call)
     assert expected in loaded
@@ -79,9 +74,35 @@ def test_each_deferred_site_loads_its_dependency(call, expected):
         assert "scipy.stats" not in loaded
 
 
+@pytest.mark.parametrize("call", [
+    """
+from repro.serve import AnytimeEstimate
+AnytimeEstimate()
+""",
+    """
+import tempfile
+from repro.datasets import make_blobs
+from repro.importance import Utility
+from repro.ml import KNeighborsClassifier
+from repro.serve import Server
+X, y = make_blobs(30, n_features=3, centers=2, seed=0)
+def factory():
+    return Utility(KNeighborsClassifier(n_neighbors=3),
+                   X[:20], y[:20], X[20:], y[20:])
+with tempfile.TemporaryDirectory() as tmp, Server(tmp, workers=1) as server:
+    scores = server.result(server.submit("loo", factory), timeout=60)
+assert len(scores) == 20
+""",
+], ids=["anytime_estimate", "served_loo_job"])
+def test_serve_path_loads_neither(call):
+    """The CI z-score is a pure-Python port of ``ndtri``: serving a job
+    needs numpy alone."""
+    assert _loaded_after(call) == set()
+
+
 def test_concurrent_first_anytime_estimates_agree():
-    """Two threads reach the first ``import scipy.special`` together;
-    the import lock hands both the same, fully initialised module."""
+    """Two threads build the first estimates together; both get the
+    same z, the bits ``scipy.special.ndtri`` returns."""
     loaded = _loaded_after("""
 import sys, threading
 from repro.serve import AnytimeEstimate
@@ -98,6 +119,7 @@ for thread in threads:
     thread.join(60)
 assert not any(thread.is_alive() for thread in threads)
 assert len(zs) == 2 and zs[0].hex() == zs[1].hex(), zs
+assert "scipy" not in sys.modules
 from scipy.special import ndtri
 assert zs[0].hex() == float(ndtri(0.975)).hex(), zs
 """)
