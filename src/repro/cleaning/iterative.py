@@ -10,7 +10,6 @@ one-shot cleaning of Figure 2.
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ from repro.importance.loo import leave_one_out
 from repro.importance.shapley_mc import MonteCarloShapley
 from repro.ml.base import clone
 from repro.ml.metrics import accuracy_score
+from repro.runtime.checkpoint import LoopCheckpointer
 
 
 def make_strategy(name: str, **kwargs):
@@ -156,9 +156,10 @@ class IterativeCleaner:
         state); a killed session resumed with ``resume_from=`` replays
         the recorded repairs through the oracle (no re-scoring, no
         retraining) and continues from the next round with an identical
-        trajectory. Requires an integer ``seed``. ``resume_from`` may
-        also carry *more* ``n_rounds`` than the original run — the
-        trajectory prefix is shared.
+        trajectory. Requires an integer ``seed``. The trajectory is a
+        prefix property: a resumed run may ask for *more* ``n_rounds``
+        than the original, or fewer (it then replays only its first
+        ``n_rounds`` recorded rounds).
     """
 
     def __init__(self, model, strategy, oracle, *, encode, batch: int = 10,
@@ -203,29 +204,6 @@ class IterativeCleaner:
         self.close()
         return False
 
-    def _checkpointer(self, X, y, X_valid, y_valid):
-        """Build the per-run :class:`~repro.runtime.LoopCheckpointer`
-        (``None`` when checkpointing is off). The identity fingerprint
-        covers everything that shapes the trajectory — strategy, batch,
-        seed, model, data, metric — but *not* ``n_rounds`` (a prefix
-        property: resuming with more rounds extends the same
-        trajectory) nor the runtime backend."""
-        if self.checkpoint is None and self.resume_from is None:
-            return None
-        from repro.runtime.cache import fingerprint
-        from repro.runtime.checkpoint import LoopCheckpointer
-
-        identity = fingerprint(
-            "checkpoint.cleaning.iterative",
-            getattr(self.strategy, "__name__", "custom"), self.batch,
-            int(self.seed), self.model, X, y, np.asarray(X_valid),
-            np.asarray(y_valid), self.metric)
-        return LoopCheckpointer(self.checkpoint, kind="cleaning.iterative",
-                                identity=identity,
-                                every=self.checkpoint_every,
-                                observer=self.observer,
-                                resume_from=self.resume_from)
-
     def run(self, dirty_frame, X_valid, y_valid, *,
             n_rounds: int, reader: dict | None = None) -> CleaningResult:
         """Execute the loop; returns the quality trajectory.
@@ -257,45 +235,57 @@ class IterativeCleaner:
         current = dirty_frame
         X, y = self.encode(current)
 
-        ckpt = self._checkpointer(X, y, X_valid, y_valid)
+        # The identity covers everything that shapes the trajectory, but
+        # neither the runtime backend nor n_rounds: a prefix property, so
+        # a snapshot seeds a run with more rounds, or replays only the
+        # first n_rounds of its own.
+        ckpt = LoopCheckpointer(
+            self.checkpoint, kind="cleaning.iterative",
+            identity=("checkpoint.cleaning.iterative",
+                      getattr(self.strategy, "__name__", "custom"),
+                      self.batch, self.seed, self.model, X, y,
+                      np.asarray(X_valid), np.asarray(y_valid), self.metric),
+            every=self.checkpoint_every, observer=self.observer,
+            resume_from=self.resume_from)
         cleaned_rounds: list[list[int]] = []
-        if ckpt is not None:
-            payload = ckpt.resume()
-            if payload is not None:
-                # Replay the recorded repairs through the oracle — no
-                # strategy re-scoring, no retraining — and put the RNG
-                # exactly where the interrupted run left it.
-                result.scores.extend(
-                    float.fromhex(s) for s in payload["scores"])
-                for ids in payload["cleaned"]:
-                    row_ids = np.asarray(ids)
-                    current = self.oracle.clean(current, row_ids)
-                    result.cleaned_ids.extend(int(r) for r in ids)
-                    cleaned_rounds.append([int(r) for r in ids])
-                X, y = self.encode(current)
-                result.rounds = int(payload["completed"])
-                rng.bit_generator.state = payload["rng_state"]
-                ckpt.record_skipped(completed=result.rounds, total=n_rounds,
-                                    method="cleaning.iterative")
-        if not result.scores:
-            result.scores.append(self._evaluate(X, y, X_valid, y_valid))
 
-        # Snapshot dict rebuilt (and swapped atomically) at every round
-        # boundary, so a signal flush mid-round persists the last
-        # *consistent* state — never a half-updated round.
-        snapshot = {"completed": result.rounds,
+        def snapshot() -> dict:
+            return {"completed": result.rounds,
                     "scores": [s.hex() for s in result.scores],
                     "cleaned": [list(ids) for ids in cleaned_rounds],
                     "rng_state": rng.bit_generator.state}
-        guard = ckpt.armed(lambda: snapshot) if ckpt is not None \
-            else contextlib.nullcontext()
 
+        payload = ckpt.resume()
+        if payload is not None:
+            # Replay the recorded repairs through the oracle — no
+            # strategy re-scoring, no retraining — and put the RNG
+            # exactly where the interrupted run left it.
+            result.rounds = min(int(payload["completed"]), n_rounds)
+            result.scores.extend(float.fromhex(s) for s in
+                                 payload["scores"][:result.rounds + 1])
+            for ids in payload["cleaned"][:result.rounds]:
+                current = self.oracle.clean(current, np.asarray(ids))
+                result.cleaned_ids.extend(int(r) for r in ids)
+                cleaned_rounds.append([int(r) for r in ids])
+            X, y = self.encode(current)
+            rng.bit_generator.state = payload["rng_state"]
+            ckpt.record_skipped(completed=result.rounds, total=n_rounds,
+                                method="cleaning.iterative")
+        else:
+            result.scores.append(self._evaluate(X, y, X_valid, y_valid))
+
+        # Rebuilt at every round boundary, so a signal flush mid-round
+        # persists the last *consistent* state — never a half-updated
+        # round. Until the first boundary that is the record resumed
+        # from, which a smaller n_rounds replays only a prefix of.
+        state = payload or snapshot()
         strategy_name = getattr(self.strategy, "__name__", "custom")
         cache = self.runtime.cache if self.runtime is not None else None
         strategy_kwargs = {"runtime": self.runtime} \
             if self._strategy_takes_runtime else {}
         with obs.span("cleaning.run", strategy=strategy_name,
-                      cache=cache, batch=self.batch, rounds=n_rounds), guard:
+                      cache=cache, batch=self.batch, rounds=n_rounds), \
+                ckpt.armed(lambda: state):
             for round_index in range(result.rounds, n_rounds):
                 with obs.span("cleaning.round", round=round_index):
                     scores = np.asarray(
@@ -313,13 +303,8 @@ class IterativeCleaner:
                         self._evaluate(X, y, X_valid, y_valid))
                     result.rounds += 1
                     cleaned_rounds.append([int(r) for r in row_ids])
-                    snapshot = {"completed": result.rounds,
-                                "scores": [s.hex() for s in result.scores],
-                                "cleaned": [list(ids)
-                                            for ids in cleaned_rounds],
-                                "rng_state": rng.bit_generator.state}
-                    if ckpt is not None:
-                        ckpt.maybe_flush(result.rounds)
+                    state = snapshot()
+                    ckpt.maybe_flush(result.rounds)
                 if obs.enabled:
                     obs.count("cleaning.rows_cleaned", len(row_ids))
                     obs.event("cleaning.round", round=round_index,

@@ -27,7 +27,6 @@ positions, the same contract their in-memory counterparts have.
 
 from __future__ import annotations
 
-import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,6 @@ from repro.data.shards import (
     resolve_dataset,
 )
 from repro.observe.observer import resolve_observer
-from repro.runtime.cache import fingerprint
 from repro.runtime.checkpoint import LoopCheckpointer
 
 __all__ = [
@@ -96,16 +94,12 @@ def transform_shards(dataset, out_path, fn, *, seed=None, params=None,
     streams = (np.random.SeedSequence(seed).spawn(dataset.n_shards)
                if seed is not None else [None] * dataset.n_shards)
 
-    ckpt = None
-    if checkpoint is not None or resume_from is not None:
-        identity = fingerprint(
-            "checkpoint.data.transform",
-            getattr(fn, "__name__", "custom"), params,
-            None if seed is None else int(seed),
-            [info.sha256 for info in dataset.shards])
-        ckpt = LoopCheckpointer(checkpoint, kind="data.transform",
-                                identity=identity, every=checkpoint_every,
-                                observer=observer, resume_from=resume_from)
+    ckpt = LoopCheckpointer(
+        checkpoint, kind="data.transform",
+        identity=("checkpoint.data.transform",
+                  getattr(fn, "__name__", "custom"), params, seed,
+                  [info.sha256 for info in dataset.shards]),
+        every=checkpoint_every, observer=observer, resume_from=resume_from)
 
     # The output writer's journal decides where to continue: every
     # journaled shard was published atomically and checksummed, so
@@ -117,18 +111,18 @@ def transform_shards(dataset, out_path, fn, *, seed=None, params=None,
         writer = ShardWriter(out_path, mirror=mirror, observer=observer)
     completed = writer.n_shards
 
-    sides: list = []
-    payload = ckpt.resume() if ckpt is not None else None
-    if payload is not None:
-        sides = list(payload["sides"])[:completed]
+    def shard_rng(index: int):
+        return (np.random.default_rng(streams[index])
+                if streams[index] is not None else None)
+
+    payload = ckpt.resume()
+    sides = list(payload["sides"])[:completed] if payload is not None else []
     # Shards published before the last checkpoint flush landed (or when
     # no checkpoint is in play at all): rebuild their side records by
     # replaying the deterministic transform, without writing anything.
     for index in range(len(sides), completed):
-        arrays = dataset.load_shard(index, observer=observer)
-        rng = (np.random.default_rng(streams[index])
-               if streams[index] is not None else None)
-        _, side = fn(index, arrays, rng)
+        _, side = fn(index, dataset.load_shard(index, observer=observer),
+                     shard_rng(index))
         sides.append(side)
     if payload is not None:
         ckpt.record_skipped(completed=completed, total=dataset.n_shards,
@@ -137,28 +131,27 @@ def transform_shards(dataset, out_path, fn, *, seed=None, params=None,
     reader = ShardReader(dataset, workers=workers, prefetch=prefetch,
                          faults=faults, on_corrupt=on_corrupt,
                          start=completed, observer=observer)
-    snapshot = {"completed": completed, "reader": reader.snapshot(),
+
+    def snapshot() -> dict:
+        return {"completed": completed, "reader": reader.snapshot(),
                 "sides": list(sides)}
-    guard = ckpt.armed(lambda: snapshot) if ckpt is not None \
-        else contextlib.nullcontext()
-    with guard, reader:
+
+    # Rebuilt after each published shard: a signal flush persists the
+    # last consistent state.
+    state = snapshot()
+    with ckpt.armed(lambda: state), reader:
         for batch in reader:
-            rng = (np.random.default_rng(streams[batch.index])
-                   if streams[batch.index] is not None else None)
-            out_arrays, side = fn(batch.index, batch.arrays, rng)
+            out_arrays, side = fn(batch.index, batch.arrays,
+                                  shard_rng(batch.index))
             writer.append(out_arrays)
             sides.append(side)
             completed = batch.index + 1
-            snapshot = {"completed": completed,
-                        "reader": reader.snapshot(),
-                        "sides": list(sides)}
-            if ckpt is not None:
-                ckpt.maybe_flush(completed)
+            state = snapshot()
+            ckpt.maybe_flush(completed)
     out_meta = dict(meta or {})
     out_meta.setdefault("transform", getattr(fn, "__name__", "custom"))
     out_dataset = writer.finalize(out_meta)
-    if ckpt is not None:
-        ckpt.flush()
+    ckpt.flush()
     return out_dataset, sides
 
 

@@ -25,8 +25,6 @@ fold rule with a convergence window.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.core.rng import spawn_rngs
@@ -38,7 +36,6 @@ from repro.importance.base import (
     unhex_floats,
 )
 from repro.observe.observer import resolve_observer
-from repro.runtime.cache import fingerprint
 from repro.runtime.checkpoint import LoopCheckpointer
 
 
@@ -179,14 +176,17 @@ class _Session:
         self.utility = utility
         self.cache = utility.runtime.cache if utility.runtime is not None \
             else None
+        self._journal = None
+        if ckpt.store is None:
+            return  # no snapshots: no counter bases, no journal
         self._calls_base = utility.calls
         self._kernel_base = utility.kernel_steps
         self._fallback_base = utility.fallback_retrains
         # Journal from the very start so snapshots carry the cumulative
         # cache writes; resume() re-puts the restored entries *through*
         # the journal, keeping the cumulative invariant across kills.
-        self._journal = self.cache.start_journal() \
-            if self.cache is not None else None
+        if self.cache is not None:
+            self._journal = self.cache.start_journal()
 
     def resume(self) -> dict | None:
         """Load the snapshot and replay its side effects (counters,
@@ -256,12 +256,11 @@ class SamplingEstimator:
         """The ``params`` of the ``importance.run`` event."""
         return {}
 
-    def _identity(self, utility: Utility) -> str:
-        """Checkpoint fingerprint of the job: params, seed and data."""
-        seed = (int(self.seed),) if self.seeded else ()
-        return fingerprint(self.kind.replace("importance.", "checkpoint."),
-                           *self._params().values(), *seed,
-                           utility.base_fingerprint())
+    def _identity(self, utility: Utility) -> tuple:
+        """Checkpoint identity parts of the job: params, seed and data."""
+        seed = (self.seed,) if self.seeded else ()
+        return (self.kind.replace("importance.", "checkpoint."),
+                *self._params().values(), *seed, utility.base_fingerprint())
 
     def _run_extra(self) -> dict:
         """Extra ``importance.run`` event fields."""
@@ -302,27 +301,28 @@ class SamplingEstimator:
                 values=values, **self._run_extra(), **exact)
         return values
 
-    def _open_session(self, utility: Utility) -> _Session | None:
-        """The checkpoint session, or ``None`` when neither
-        ``checkpoint=`` nor ``resume_from=`` was given. Falls back to
-        the runtime's observer when the estimator has none, so
-        checkpoint accounting lands wherever the run is observed."""
-        if self.checkpoint is None and self.resume_from is None:
-            return None
+    def _open_session(self, utility: Utility) -> _Session:
+        """The run's checkpoint session (inert without ``checkpoint=``
+        and ``resume_from=``). The identity is computed only when
+        checkpointing: an inert run neither hashes the game nor needs a
+        utility that can. Falls back to the runtime's observer when the
+        estimator has none, so checkpoint accounting lands wherever the
+        run is observed."""
         observer = self.observer
         if not observer.enabled and utility.runtime is not None:
             observer = utility.runtime.observer
         ckpt = LoopCheckpointer(
-            self.checkpoint, kind=self.kind, identity=self._identity(utility),
+            self.checkpoint, kind=self.kind,
+            identity=lambda: self._identity(utility),
             every=self.checkpoint_every, observer=observer,
             resume_from=self.resume_from)
         return _Session(ckpt, utility)
 
     def _batch_size(self, utility: Utility, rule: FoldRule,
-                    session: _Session | None, total: int) -> int:
+                    ckpt: LoopCheckpointer, total: int) -> int:
         cadences = []
-        if session is not None:
-            cadences.append(session.ckpt.every)
+        if ckpt.identity is not None:  # checkpointing or resuming
+            cadences.append(ckpt.every)
         if self.partial is not None:
             cadences.append(max(1, int(getattr(self.partial, "every", 1)
                                        or 1)))
@@ -339,23 +339,23 @@ class SamplingEstimator:
         try:
             return self._loop(utility, sampler, session), sampler.counter
         finally:
-            if session is not None:
-                session.close()
+            session.close()
 
     def _loop(self, utility: Utility, sampler: Sampler,
-              session: _Session | None) -> np.ndarray:
+              session: _Session) -> np.ndarray:
         units = sampler.units
         total = len(units)
         results: list = []  # evaluated units' results, sample order
-        payload = session.resume() if session is not None else None
+        ckpt = session.ckpt
+        payload = session.resume()
         if payload is not None:
             results = sampler.decode(payload[sampler.key])
-            session.ckpt.record_skipped(
+            ckpt.record_skipped(
                 completed=len(results), total=total,
                 skipped_units=len(results), method=self.method)
         sampler.start(utility, payload)
         rule = self._fold_rule(utility, sampler)
-        size = self._batch_size(utility, rule, session, total)
+        size = self._batch_size(utility, rule, ckpt, total)
 
         def fold(batch: list, batch_results: list) -> bool:
             """Fold one batch and publish; ``True`` to stop the loop."""
@@ -367,17 +367,14 @@ class SamplingEstimator:
                 return False
             # An anytime stop leaves a durable, resumable snapshot: the
             # resumed run replays it and continues to the full result.
-            if session is not None:
-                session.ckpt.flush()
+            ckpt.flush()
             return True
 
         def snapshot() -> dict:
             return {**session.state(len(results)),
                     **sampler.snapshot(results)}
 
-        guard = session.ckpt.armed(snapshot) if session is not None \
-            else contextlib.nullcontext()
-        with guard:
+        with ckpt.armed(snapshot):
             # The snapshot's units replay in the same batches, through
             # the same fold rule, as the uninterrupted run's: running
             # sums, publishes and stop points are bit-identical to it.
@@ -390,7 +387,7 @@ class SamplingEstimator:
                         utility, units[len(results):end], self.method))
                 stop = fold(units[done:end], results[done:end])
                 done = end
-                if not stop and session is not None:
-                    session.ckpt.maybe_flush(len(results))
+                if not stop:
+                    ckpt.maybe_flush(len(results))
         self._folded = rule.folded
         return rule.estimate()

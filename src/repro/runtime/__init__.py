@@ -46,7 +46,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
-    Checkpointable,
     CheckpointRecord,
     CheckpointStore,
     LoopCheckpointer,
@@ -93,7 +92,6 @@ __all__ = [
     "MAX_CHUNK_SIZE",
     "CacheStats",
     "CancellationToken",
-    "Checkpointable",
     "CheckpointRecord",
     "CheckpointStore",
     "Executor",

@@ -11,7 +11,7 @@ its completed units (permutations, coalitions, rounds) into a
 hex-identical scores, call counts, and fingerprint-cache keys to an
 uninterrupted run, on any backend.
 
-Three layers:
+Two layers:
 
 - :class:`CheckpointStore` — a crash-safe, append-only record store.
   Every record is one self-verifying line (the schema-versioned SHA-256
@@ -20,18 +20,17 @@ Three layers:
   ``fdatasync``. A truncated or garbled record is *detected*, surfaced
   as an ``executor.checkpoint_corrupt`` runlog event, and skipped in
   favour of the last good record — never a crash.
-- :class:`Checkpointable` — the protocol a resumable loop speaks:
-  ``checkpoint_kind`` names the payload schema, ``checkpoint_state()``
-  snapshots completed work, ``restore_state()`` replays a snapshot.
-- :class:`LoopCheckpointer` — the driver the wired loops
-  (``shapley_mc``, ``banzhaf``, ``beta_shapley``, ``loo``,
-  ``IterativeCleaner``, ``cpclean_greedy``, ``ShardedUnlearner``) embed:
+- :class:`LoopCheckpointer` — the one resume protocol, which every
+  resumable loop (``shapley_mc``, ``banzhaf``, ``beta_shapley``,
+  ``loo``, ``IterativeCleaner``, ``cpclean_greedy``,
+  ``ShardedUnlearner``, ``transform_shards``) builds unconditionally:
   cadence control (``checkpoint_every``), identity verification on
   resume (the record must describe the *same* job — params, seed, data
   fingerprint), a SIGTERM/SIGINT guard so an interrupted session
   persists its final state before exiting, and the
   ``checkpoint.writes`` / ``checkpoint.bytes`` / ``checkpoint.restores``
-  observer accounting.
+  observer accounting. Without a store it is inert, so a loop drives
+  it with no "is checkpointing on?" branches.
 
 Floats are serialized as ``float.hex()`` throughout, so a resumed run's
 restored marginals/scores are *bitwise* identical to the originals.
@@ -49,12 +48,12 @@ import signal
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from repro.core.exceptions import ValidationError
 from repro.observe.metrics import global_registry
 from repro.observe.observer import resolve_observer
 from repro.observe.runlog import jsonable
+from repro.runtime.cache import fingerprint
 from repro.runtime.durable import (
     IntegrityError,
     append,
@@ -69,7 +68,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointRecord",
     "CheckpointStore",
-    "Checkpointable",
     "LoopCheckpointer",
     "ShutdownRequested",
     "flush_all",
@@ -138,30 +136,6 @@ class CheckpointRecord:
     kind: str
     payload: dict
     path: Path
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """What a resumable loop exposes to the checkpoint machinery.
-
-    ``checkpoint_kind`` names the payload schema (e.g.
-    ``"importance.shapley_mc"``); :meth:`checkpoint_state` returns a
-    JSON-serializable snapshot of completed work (floats as
-    ``float.hex()`` strings so restoration is bitwise exact);
-    :meth:`restore_state` replays such a snapshot into a fresh loop.
-    The wired loops implement this implicitly via small internal state
-    holders — the protocol documents the contract for custom loops.
-    """
-
-    checkpoint_kind: str
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot completed work as a JSON-serializable dict."""
-        ...
-
-    def restore_state(self, state: dict) -> None:
-        """Replay a snapshot produced by :meth:`checkpoint_state`."""
-        ...
 
 
 class CheckpointStore:
@@ -707,9 +681,12 @@ class LoopCheckpointer:
         Record kind — the payload schema the loop writes (e.g.
         ``"importance.shapley_mc"``).
     identity:
-        Fingerprint of everything that determines the loop's results
-        (method, params, seed, data). Stamped into every payload and
-        verified on resume: a record describing a *different* job raises
+        The :func:`~repro.runtime.fingerprint` parts (a tuple) of
+        everything that determines the loop's results (method, params,
+        seed, data), or a zero-argument callable returning them when a
+        part costs work to compute. They are hashed once, here, and only
+        when a store is given. The fingerprint is stamped into every
+        payload and verified on resume: a record describing a *different* job raises
         :class:`~repro.core.exceptions.ValidationError` instead of
         silently producing wrong numbers. Execution policy (backend,
         workers, :class:`~repro.runtime.FaultPolicy`) is deliberately
@@ -726,11 +703,17 @@ class LoopCheckpointer:
         Store (or path) to resume out of; commonly the same directory as
         ``checkpoint``. ``None`` starts fresh.
 
+    With neither ``checkpoint`` nor ``resume_from`` the checkpointer is
+    inert: the identity is never computed (``self.identity`` is
+    ``None``), :meth:`resume` returns ``None``, flushes write nothing,
+    and :meth:`armed` registers no shutdown hook. A loop therefore
+    builds one unconditionally and drives it without branches.
+
     Use :meth:`armed` around the loop body so an interrupting
     SIGTERM/SIGINT flushes the current state before the process exits.
     """
 
-    def __init__(self, checkpoint, *, kind: str, identity: str,
+    def __init__(self, checkpoint, *, kind: str, identity,
                  every: int = 1, observer=None, resume_from=None):
         if every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
@@ -743,16 +726,14 @@ class LoopCheckpointer:
             self.resume_store = resolve_checkpoint_store(resume_from,
                                                          observer=observer)
         self.kind = kind
-        self.identity = identity
+        self.identity = None
+        if self.store is not None or self.resume_store is not None:
+            self.identity = fingerprint(
+                *(identity() if callable(identity) else identity))
         self.every = every
         self.observer = resolve_observer(observer)
         self._last_flushed: int | None = None
         self._state_fn = None
-
-    @property
-    def active(self) -> bool:
-        """True when snapshots are being written."""
-        return self.store is not None
 
     # -- resume ------------------------------------------------------------
     def resume(self) -> dict | None:
@@ -798,9 +779,13 @@ class LoopCheckpointer:
         ``state_fn()`` must return the payload dict including a
         ``completed`` count; it is called on the loop's own thread on
         cadence flushes and from the armed guard on shutdown, so it
-        must only *read* loop state.
+        must only *read* loop state. Without a store nothing flushes, so
+        nothing is kept: a provider that refers back to this
+        checkpointer would otherwise make a reference cycle that holds
+        the loop's state until the cyclic collector runs.
         """
-        self._state_fn = state_fn
+        if self.store is not None:
+            self._state_fn = state_fn
 
     def flush(self) -> None:
         """Write one snapshot now (no cadence check)."""
@@ -824,7 +809,7 @@ class LoopCheckpointer:
                 or completed - self._last_flushed >= self.every:
             self.flush()
 
-    def armed(self, state_fn) -> flush_on_shutdown:
+    def armed(self, state_fn):
         """Arm the snapshot provider and return the signal-flush guard.
 
         Intended as ``with ckpt.armed(state): ...`` around the loop
@@ -832,7 +817,10 @@ class LoopCheckpointer:
         :class:`ShutdownRequested`) and the final state is flushed
         before the process exits; on normal exit the hook is removed
         before the loop's runtime/pool teardown, so a flush never races
-        it.
+        it. An inert checkpointer returns a ``nullcontext``: no hook,
+        no signal handler.
         """
         self.arm(state_fn)
+        if self.identity is None:
+            return contextlib.nullcontext()
         return flush_on_shutdown(self.flush)

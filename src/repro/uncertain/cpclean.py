@@ -226,8 +226,9 @@ def cpclean_greedy(X_dirty, y, X_clean, X_test, *, k: int = 3,
         trajectory). A killed selection resumed with ``resume_from=``
         replays the recorded repairs (no candidate re-evaluation) and
         continues greedily — identical ``cleaned_rows`` and trajectory
-        to an uninterrupted run on any backend. The selection is fully
-        deterministic, so no seed is involved.
+        to an uninterrupted run on any backend. A smaller
+        ``max_cleaned`` replays only that many recorded repairs. The
+        selection is fully deterministic, so no seed is involved.
 
     Returns
     -------
@@ -260,9 +261,6 @@ def _cpclean_greedy_run(X_dirty, y, X_clean, X_test, *, k, max_cleaned,
                         checkpoint_every=1, resume_from=None) -> dict:
     """The selection loop behind :func:`cpclean_greedy` (runtime and
     observer already resolved)."""
-    import contextlib
-
-    from repro.runtime.cache import fingerprint
     from repro.runtime.checkpoint import LoopCheckpointer
 
     X_current = np.asarray(X_dirty, dtype=float).copy()
@@ -276,43 +274,45 @@ def _cpclean_greedy_run(X_dirty, y, X_clean, X_test, *, k, max_cleaned,
         checker = CertainPredictionKNN(k=k).fit(X, y)
         return checker.certain_fraction(X_test)
 
-    ckpt = None
-    if checkpoint is not None or resume_from is not None:
-        # max_cleaned is excluded: the greedy order is a prefix property,
-        # so a snapshot may seed a run with a larger budget.
-        identity = fingerprint("checkpoint.cpclean.greedy", k, X_current,
-                               y, X_clean, X_test)
-        ckpt = LoopCheckpointer(checkpoint, kind="cpclean.greedy",
-                                identity=identity, every=checkpoint_every,
-                                observer=observer, resume_from=resume_from)
+    # max_cleaned is excluded: the greedy order is a prefix property, so
+    # a snapshot may seed a run with a larger budget, or a smaller one
+    # that replays only the first max_cleaned recorded repairs.
+    ckpt = LoopCheckpointer(
+        checkpoint, kind="cpclean.greedy",
+        identity=("checkpoint.cpclean.greedy", k, X_current, y, X_clean,
+                  X_test),
+        every=checkpoint_every, observer=observer, resume_from=resume_from)
+    cleaned = []
 
-    cleaned, trajectory = [], []
-    if ckpt is not None:
-        payload = ckpt.resume()
-        if payload is not None:
-            # Replay the recorded repairs — no candidate re-evaluation.
-            trajectory = [float.fromhex(s) for s in payload["trajectory"]]
-            for row in payload["cleaned"]:
-                row = int(row)
-                X_current[row] = X_clean[row]
-                incomplete.remove(row)
-                cleaned.append(row)
-            ckpt.record_skipped(completed=len(cleaned), total=budget,
-                                method="cpclean.greedy")
-    if not trajectory:
+    def snapshot() -> dict:
+        return {"completed": len(cleaned), "cleaned": list(cleaned),
+                "trajectory": [s.hex() for s in trajectory]}
+
+    payload = ckpt.resume()
+    if payload is not None:
+        # Replay the recorded repairs — no candidate re-evaluation.
+        for row in payload["cleaned"][:budget]:
+            row = int(row)
+            X_current[row] = X_clean[row]
+            incomplete.remove(row)
+            cleaned.append(row)
+        trajectory = [float.fromhex(s) for s in
+                      payload["trajectory"][:len(cleaned) + 1]]
+        ckpt.record_skipped(completed=len(cleaned), total=budget,
+                            method="cpclean.greedy")
+    else:
         trajectory = [fraction(X_current)]
     classes = np.unique(y)
     # Exact distances of fully-revealed rows, fixed for the whole run.
     exact_dist = _distance_bounds(X_clean, X_clean, X_test)[0]
 
     # Rebuilt at each repair boundary so a signal flush mid-round
-    # persists the last consistent state.
-    snapshot = {"completed": len(cleaned), "cleaned": list(cleaned),
-                "trajectory": [s.hex() for s in trajectory]}
-    guard = ckpt.armed(lambda: snapshot) if ckpt is not None \
-        else contextlib.nullcontext()
+    # persists the last consistent state; until the first boundary that
+    # is the record resumed from.
+    state = payload or snapshot()
     with observer.span("cpclean.greedy", k=k, budget=budget,
-                       incomplete=len(incomplete)), guard:
+                       incomplete=len(incomplete)), \
+            ckpt.armed(lambda: state):
         while incomplete and len(cleaned) < budget and trajectory[-1] < 1.0:
             nan = np.isnan(X_current)
             lo_fill = np.nanmin(X_current, axis=0)
@@ -337,11 +337,8 @@ def _cpclean_greedy_run(X_dirty, y, X_clean, X_test, *, k, max_cleaned,
             incomplete.remove(best_row)
             cleaned.append(int(best_row))
             trajectory.append(best_fraction)
-            snapshot = {"completed": len(cleaned),
-                        "cleaned": list(cleaned),
-                        "trajectory": [s.hex() for s in trajectory]}
-            if ckpt is not None:
-                ckpt.maybe_flush(len(cleaned))
+            state = snapshot()
+            ckpt.maybe_flush(len(cleaned))
             if observer.enabled:
                 observer.count("cpclean.candidate_evals", len(fractions))
                 observer.count("cpclean.rows_cleaned")

@@ -24,6 +24,7 @@ from repro.core.exceptions import NotFittedError, ValidationError
 from repro.core.rng import ensure_rng
 from repro.core.validation import check_X_y
 from repro.ml.base import clone
+from repro.runtime.checkpoint import LoopCheckpointer
 
 
 def _fit_members(model, X, y, members):
@@ -115,7 +116,6 @@ class ShardedUnlearner:
         self.observer = resolve_observer(observer)
         self.checkpoint = checkpoint
         self.resume_from = resume_from
-        self._ckpt = None
         if checkpoint is not None or resume_from is not None:
             require_checkpoint_seed(seed, "ShardedUnlearner")
 
@@ -133,26 +133,8 @@ class ShardedUnlearner:
         self.close()
         return False
 
-    def _open_checkpointer(self, *data_identity):
-        """Build the deletion-log checkpointer once ``fit`` knows the
-        data (the identity fingerprint covers model, sharding params,
-        seed, and the training data — the arrays themselves in memory
-        mode, the shard checksums + explicit assignment otherwise)."""
-        from repro.runtime.cache import fingerprint
-        from repro.runtime.checkpoint import LoopCheckpointer
-
-        identity = fingerprint("checkpoint.unlearning.sharded",
-                               self.n_shards, int(self.seed), self.model,
-                               *data_identity)
-        return LoopCheckpointer(self.checkpoint, kind="unlearning.sharded",
-                                identity=identity, every=1,
-                                observer=self.observer,
-                                resume_from=self.resume_from)
-
     def _snapshot(self) -> None:
         """Persist the deletion log (one record per fit/unlearn call)."""
-        if self._ckpt is None or not self._ckpt.active:
-            return
         self._unlearn_calls += 1
         self._ckpt.arm(lambda: {
             "completed": self._unlearn_calls,
@@ -189,37 +171,9 @@ class ShardedUnlearner:
         self._X = X.copy()
         self._y = y.copy()
         self._dataset = None
-        self._n_rows = len(X)
-        self._alive = np.ones(len(X), dtype=bool)
-        self.models_ = [None] * self.n_shards
-        self.retrain_counter_ = 0
-        self._unlearn_calls = 0
-        self._deleted: list[int] = []  # the deletion log, in request order
-        restored = None
-        if self.checkpoint is not None or self.resume_from is not None:
-            self._ckpt = self._open_checkpointer(
-                X, y, None if assignment is None else self._shard_of)
-            restored = self._ckpt.resume()
-        if restored is not None:
-            # Re-apply the recorded deletions *before* the initial shard
-            # training: SISA exactness means training the shards once on
-            # the surviving rows reproduces the interrupted ensemble.
-            deleted = self._deleted = [int(i) for i in restored["deleted"]]
-            self._alive[deleted] = False
-            self._ckpt.record_skipped(
-                completed=int(restored["completed"]),
-                method="unlearning.sharded", n_deleted=len(deleted))
-        with self.observer.span("sharded.fit", rows=len(X),
-                                shards=self.n_shards):
-            self._train_shards(range(self.n_shards))
-        if restored is not None:
-            self.retrain_counter_ = int(restored["retrain_counter"])
-            self._unlearn_calls = int(restored["completed"]) - 1
-        if self.observer.enabled:
-            self.observer.event("unlearning.fit", n_rows=len(X),
-                                n_shards=self.n_shards, seed=self.seed)
-        self._snapshot()
-        return self
+        return self._fit(
+            len(X), (X, y, None if assignment is None else self._shard_of),
+            lambda: self._train_shards(range(self.n_shards)))
 
     def fit_sharded(self, dataset, *, features: str = "X",
                     label: str = "y", reader: dict | None = None
@@ -254,25 +208,8 @@ class ShardedUnlearner:
         self._dataset = dataset
         self._features = features
         self._label = label
-        self._n_rows = n_rows
-        self._alive = np.ones(n_rows, dtype=bool)
-        self.models_ = [None] * self.n_shards
-        self.retrain_counter_ = 0
-        self._unlearn_calls = 0
-        self._deleted = []
-        restored = None
-        if self.checkpoint is not None or self.resume_from is not None:
-            self._ckpt = self._open_checkpointer(
-                [info.sha256 for info in dataset.shards], features, label)
-            restored = self._ckpt.resume()
-        if restored is not None:
-            deleted = self._deleted = [int(i) for i in restored["deleted"]]
-            self._alive[deleted] = False
-            self._ckpt.record_skipped(
-                completed=int(restored["completed"]),
-                method="unlearning.sharded", n_deleted=len(deleted))
-        with self.observer.span("sharded.fit", rows=n_rows,
-                                shards=self.n_shards):
+
+        def stream() -> None:
             with ShardReader(dataset, observer=self.observer,
                              **(reader or {})) as batches:
                 for batch in batches:
@@ -283,13 +220,49 @@ class ShardedUnlearner:
                     self.models_[batch.index] = model
                     if model is not None:
                         self.retrain_counter_ += 1
+
+        return self._fit(
+            n_rows, ([info.sha256 for info in dataset.shards], features,
+                     label), stream, dataset=str(dataset.path))
+
+    def _fit(self, n_rows: int, data_identity: tuple, train,
+             **event) -> "ShardedUnlearner":
+        """The fit path both entry points share: open the deletion log,
+        re-apply a resumed one, ``train()`` every shard, and restore the
+        counters. The identity covers model, sharding params, seed, and
+        ``data_identity`` — the arrays themselves in memory mode, the
+        shard checksums + array names out of core."""
+        self._n_rows = n_rows
+        self._alive = np.ones(n_rows, dtype=bool)
+        self.models_ = [None] * self.n_shards
+        self.retrain_counter_ = 0
+        self._unlearn_calls = 0
+        self._deleted: list[int] = []  # the deletion log, in request order
+        self._ckpt = LoopCheckpointer(
+            self.checkpoint, kind="unlearning.sharded",
+            identity=("checkpoint.unlearning.sharded", self.n_shards,
+                      self.seed, self.model, *data_identity),
+            every=1, observer=self.observer, resume_from=self.resume_from)
+        restored = self._ckpt.resume()
+        if restored is not None:
+            # Re-apply the recorded deletions *before* the initial shard
+            # training: SISA exactness means training the shards once on
+            # the surviving rows reproduces the interrupted ensemble.
+            deleted = self._deleted = [int(i) for i in restored["deleted"]]
+            self._alive[deleted] = False
+            self._ckpt.record_skipped(
+                completed=int(restored["completed"]),
+                method="unlearning.sharded", n_deleted=len(deleted))
+        with self.observer.span("sharded.fit", rows=n_rows,
+                                shards=self.n_shards):
+            train()
         if restored is not None:
             self.retrain_counter_ = int(restored["retrain_counter"])
             self._unlearn_calls = int(restored["completed"]) - 1
         if self.observer.enabled:
             self.observer.event("unlearning.fit", n_rows=n_rows,
                                 n_shards=self.n_shards, seed=self.seed,
-                                dataset=str(dataset.path))
+                                **event)
         self._snapshot()
         return self
 

@@ -138,6 +138,19 @@ class TestCheckpointResume:
             [s.hex() for s in ref.scores]
         assert resumed.cleaned_ids == ref.cleaned_ids
 
+    def test_resume_with_fewer_rounds_replays_a_prefix(self, setting,
+                                                       tmp_path):
+        ref = self._run(setting, self._cleaner(setting), n_rounds=2)
+        self._run(setting, self._cleaner(setting, checkpoint=tmp_path),
+                  n_rounds=5)
+        resumed = self._run(setting, self._cleaner(setting,
+                                                   resume_from=tmp_path),
+                            n_rounds=2)
+        assert [s.hex() for s in resumed.scores] == \
+            [s.hex() for s in ref.scores]
+        assert resumed.cleaned_ids == ref.cleaned_ids
+        assert resumed.rounds == ref.rounds == 2
+
     def test_checkpoint_requires_integer_seed(self, setting, tmp_path):
         with pytest.raises(ValidationError, match="integer seed"):
             IterativeCleaner(KNeighborsClassifier(5), "random",

@@ -27,7 +27,6 @@ from repro.observe import Observer
 from repro.runtime import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
-    Checkpointable,
     FingerprintCache,
     LoopCheckpointer,
     Runtime,
@@ -169,7 +168,7 @@ class TestCorruptionHandling:
 
 class TestLoopCheckpointer:
     def test_cadence(self, tmp_path):
-        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity="id",
+        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity=("id",),
                                 every=3)
         state = {"completed": 0}
         ckpt.arm(lambda: dict(state))
@@ -181,27 +180,27 @@ class TestLoopCheckpointer:
         assert len(ckpt.store) == 3
 
     def test_flush_dedups_unchanged_state(self, tmp_path):
-        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity="id")
+        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity=("id",))
         ckpt.arm(lambda: {"completed": 5})
         ckpt.flush()
         ckpt.flush()
         assert len(ckpt.store) == 1
 
     def test_identity_mismatch_rejected(self, tmp_path):
-        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity="job-a")
+        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity=("job-a",))
         ckpt.arm(lambda: {"completed": 1})
         ckpt.flush()
-        other = LoopCheckpointer(None, kind="demo", identity="job-b",
+        other = LoopCheckpointer(None, kind="demo", identity=("job-b",),
                                  resume_from=tmp_path)
         with pytest.raises(ValidationError, match="different job"):
             other.resume()
 
     def test_resume_accounting(self, tmp_path):
         obs = Observer()
-        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity="id")
+        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity=("id",))
         ckpt.arm(lambda: {"completed": 4})
         ckpt.flush()
-        resumed = LoopCheckpointer(None, kind="demo", identity="id",
+        resumed = LoopCheckpointer(None, kind="demo", identity=("id",),
                                    observer=obs, resume_from=tmp_path)
         payload = resumed.resume()
         assert payload["completed"] == 4
@@ -214,20 +213,7 @@ class TestLoopCheckpointer:
 
     def test_invalid_cadence_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            LoopCheckpointer(tmp_path, kind="demo", identity="id", every=0)
-
-    def test_protocol_is_runtime_checkable(self):
-        class Loop:
-            checkpoint_kind = "demo"
-
-            def checkpoint_state(self):
-                return {"completed": 0}
-
-            def restore_state(self, state):
-                pass
-
-        assert isinstance(Loop(), Checkpointable)
-        assert not isinstance(object(), Checkpointable)
+            LoopCheckpointer(tmp_path, kind="demo", identity=("id",), every=0)
 
 
 # --------------------------------------------------------------------------

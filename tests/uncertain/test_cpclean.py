@@ -252,6 +252,20 @@ class TestCheckpointResume:
         assert [float(f).hex() for f in resumed["certain_fraction"]] == \
             [float(f).hex() for f in ref["certain_fraction"]]
 
+    def test_resume_with_smaller_budget_replays_a_prefix(self, hard_blobs,
+                                                         tmp_path):
+        ref = cpclean_greedy(hard_blobs["X_dirty"], hard_blobs["y"],
+                             hard_blobs["X"], hard_blobs["X_test"], k=3,
+                             max_cleaned=2)
+        self._select(hard_blobs, checkpoint=tmp_path)
+        resumed = cpclean_greedy(hard_blobs["X_dirty"], hard_blobs["y"],
+                                 hard_blobs["X"], hard_blobs["X_test"], k=3,
+                                 max_cleaned=2, resume_from=tmp_path)
+        assert resumed["cleaned_rows"] == ref["cleaned_rows"]
+        assert [float(f).hex() for f in resumed["certain_fraction"]] == \
+            [float(f).hex() for f in ref["certain_fraction"]]
+        assert resumed["n_cleaned"] == ref["n_cleaned"] == 2
+
     def test_identity_mismatch_rejected(self, hard_blobs, tmp_path):
         self._select(hard_blobs, checkpoint=tmp_path)
         with pytest.raises(ValidationError, match="different job"):
