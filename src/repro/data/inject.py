@@ -139,19 +139,20 @@ def transform_shards(dataset, out_path, fn, *, seed=None, params=None,
     # Rebuilt after each published shard: a signal flush persists the
     # last consistent state.
     state = snapshot()
-    with ckpt.armed(lambda: state), reader:
-        for batch in reader:
-            out_arrays, side = fn(batch.index, batch.arrays,
-                                  shard_rng(batch.index))
-            writer.append(out_arrays)
-            sides.append(side)
-            completed = batch.index + 1
-            state = snapshot()
-            ckpt.maybe_flush(completed)
-    out_meta = dict(meta or {})
-    out_meta.setdefault("transform", getattr(fn, "__name__", "custom"))
-    out_dataset = writer.finalize(out_meta)
-    ckpt.flush()
+    with ckpt.armed(lambda: state):
+        with reader:
+            for batch in reader:
+                out_arrays, side = fn(batch.index, batch.arrays,
+                                      shard_rng(batch.index))
+                writer.append(out_arrays)
+                sides.append(side)
+                completed = batch.index + 1
+                state = snapshot()
+                ckpt.maybe_flush(completed)
+        out_meta = dict(meta or {})
+        out_meta.setdefault("transform", getattr(fn, "__name__", "custom"))
+        out_dataset = writer.finalize(out_meta)
+        ckpt.flush()  # the final record, before the guard drops the state
     return out_dataset, sides
 
 

@@ -809,18 +809,28 @@ class LoopCheckpointer:
                 or completed - self._last_flushed >= self.every:
             self.flush()
 
+    @contextlib.contextmanager
     def armed(self, state_fn):
-        """Arm the snapshot provider and return the signal-flush guard.
+        """Arm the snapshot provider and guard the body with a signal
+        flush.
 
         Intended as ``with ckpt.armed(state): ...`` around the loop
         body — a SIGTERM/SIGINT unwinds the body (see
         :class:`ShutdownRequested`) and the final state is flushed
         before the process exits; on normal exit the hook is removed
         before the loop's runtime/pool teardown, so a flush never races
-        it. An inert checkpointer returns a ``nullcontext``: no hook,
-        no signal handler.
+        it. On exit, after any final flush, the provider is dropped: a
+        snapshot closure over loop state that refers back to this
+        checkpointer would otherwise hold that state until the cyclic
+        collector runs. An inert checkpointer's guard registers no hook
+        and installs no signal handler.
         """
         self.arm(state_fn)
         if self.identity is None:
-            return contextlib.nullcontext()
-        return flush_on_shutdown(self.flush)
+            yield
+            return
+        try:
+            with flush_on_shutdown(self.flush):
+                yield
+        finally:
+            self._state_fn = None

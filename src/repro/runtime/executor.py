@@ -3,9 +3,11 @@
 An :class:`Executor` runs ``fn(shared, task)`` over a list of tasks and
 returns the results *in task order* — all at once (``map``) or as one
 ordered stream with a bound on the chunks in flight (``imap``). Three
-backends implement the same contract:
+backends implement the same contract, and every call on any of them
+runs through one chunk loop (``_ChunkRun``):
 
-- ``serial`` — plain in-process loop; zero overhead, the default.
+- ``serial`` — the loop's inline mode: each chunk runs in the calling
+  thread when its first result is asked for; no pool, the default.
 - ``thread`` — a pool of daemon threads; helps when the work releases
   the GIL (numpy linear algebra).
 - ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
@@ -24,10 +26,12 @@ functions.
 Tasks are grouped into chunks to amortize submission overhead; progress
 hooks fire and cancellation tokens are polled at chunk granularity (see
 :mod:`repro.runtime.progress`). Chunks are also the unit of fault
-handling (see :mod:`repro.runtime.faults`): a failed or timed-out chunk
-is retried within its :class:`~repro.runtime.FaultPolicy` budget, a dead
-process pool is rebuilt and only the lost chunks resubmitted, and an
-exhausted budget raises a structured
+handling (see :mod:`repro.runtime.faults`), the same on every backend: a
+failed or timed-out chunk is retried within its
+:class:`~repro.runtime.FaultPolicy` budget, a dead process pool is
+rebuilt and only the lost chunks resubmitted (or, under
+``on_worker_failure="serial"``, the loop switches to inline mode for the
+rest of the call), and an exhausted budget raises a structured
 :class:`~repro.runtime.TaskError` — with results bit-identical to an
 undisturbed run, because tasks are pure.
 """
@@ -82,6 +86,11 @@ _DRAIN_TIMEOUT = 10.0
 _UNSET = object()
 
 
+class _ChunkTimeout(TimeoutError):
+    """A chunk overran the policy's timeout — unlike a ``TimeoutError``
+    a task raises itself, which is an ordinary task failure."""
+
+
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -99,18 +108,51 @@ def _default_chunk_size(n_tasks: int, workers: int) -> int:
 
 
 class Executor:
-    """Backend contract: ordered, chunked fan-out of ``fn(shared, task)``."""
+    """Backend contract: ordered, chunked fan-out of ``fn(shared, task)``.
+
+    Every backend runs a call through the same loop, :class:`_ChunkRun`.
+    A pooled backend adds only :meth:`_new_pool` and :meth:`_submit`;
+    the serial backend builds no pool and runs each chunk inline.
+
+    A pooled executor owns exactly one pool, built lazily on first
+    submission and shared by every concurrent :meth:`imap` caller (a
+    serving tier runs many jobs over one executor). Building,
+    discarding and closing it are serialized by one lock.
+
+    Because the pool is shared, a dead worker (or a stuck one killed on
+    timeout) breaks the in-flight chunks of *every* concurrent caller.
+    Each caller recovers its own lost chunks through the same
+    broken-pool path, so such a collateral crash counts against that
+    caller's ``max_worker_crashes`` too. Discarding a pool is a
+    compare-and-swap on the pool the failed chunk ran in: a late caller
+    never tears down a pool another caller has already rebuilt.
+    """
 
     name = "base"
+
+    #: True when every chunk runs in the calling thread (the serial
+    #: backend): no pool is built and no timeout can preempt a chunk.
+    _inline = False
+
+    #: True when a stuck worker can be killed on timeout (process pools);
+    #: thread workers cannot be interrupted, so their futures are
+    #: abandoned and a new worker takes their place instead.
+    _kills_stuck_workers = False
 
     def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValidationError("max_workers must be >= 1")
         self.max_workers = max_workers
+        self._pool = None
+        # An inline executor builds no pool, so it needs no lock (and a
+        # serial runtime stays picklable).
+        self._pool_lock = None if self._inline else threading.RLock()
 
     @property
     def effective_workers(self) -> int:
-        return 1
+        if self._inline:
+            return 1
+        return self.max_workers or _available_cpus()
 
     def map(self, fn, tasks, *, shared=None, chunk_size: int | None = None,
             progress=None, cancel=None, stage: str = "map",
@@ -173,115 +215,17 @@ class Executor:
             chunk_size = _default_chunk_size(len(tasks), self.effective_workers)
         chunks = [tasks[i:i + chunk_size]
                   for i in range(0, len(tasks), chunk_size)]
-        policy = resolve_fault_policy(faults)
-        return self._stream(fn, shared, chunks, len(tasks), inflight,
-                            progress, cancel, stage, policy, fault_hook)
+        run = _ChunkRun(self, fn, shared, chunks, len(tasks), progress,
+                        cancel, stage, resolve_fault_policy(faults),
+                        fault_hook)
+        if self._inline:
+            inflight = 1
+        return self._stream(run, len(chunks) if inflight is None else inflight)
 
-    def _emit_fault(self, fault_hook, kind: str, stage: str, chunk_index: int,
-                    attempt: int, error: BaseException, started: float) -> None:
-        if fault_hook is not None:
-            fault_hook(FaultEvent(kind=kind, stage=stage,
-                                  chunk_index=chunk_index, attempt=attempt,
-                                  error=repr(error),
-                                  elapsed=time.perf_counter() - started))
-
-    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
-                stage, policy, fault_hook):
-        """The generator behind :meth:`imap`."""
-        raise NotImplementedError
-
-    def close(self, wait: bool = True) -> None:
-        """Release pooled workers (no-op for serial).
-
-        ``wait=False`` abandons in-flight chunks instead of joining them
-        (a process pool's workers are terminated) — the shutdown-path
-        variant used by the checkpoint shutdown path, where a flushed
-        checkpoint must not block on (or race) pool teardown. Safe to
-        call repeatedly and during interpreter shutdown.
-        """
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class SerialExecutor(Executor):
-    """In-process loop — the reference semantics every backend must match.
-
-    Honours the retry/backoff half of the fault policy (timeouts need
-    preemption, which a single-threaded loop cannot do; worker crashes
-    cannot happen — there are no workers).
-    """
-
-    name = "serial"
-
-    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
-                stage, policy, fault_hook):
-        started = time.perf_counter()
-        completed = 0
-        for idx, chunk in enumerate(chunks):
-            if cancel is not None:
-                cancel.raise_if_cancelled(stage)
-            attempt = 0
-            while True:
-                try:
-                    chunk_results = [fn(shared, task) for task in chunk]
-                except JobCancelled:
-                    raise
-                except Exception as error:
-                    attempt += 1
-                    if attempt > policy.retries:
-                        raise TaskError(stage=stage, chunk_index=idx,
-                                        backend=self.name, attempts=attempt,
-                                        cause=error) from error
-                    self._emit_fault(fault_hook, "retry", stage, idx,
-                                     attempt, error, started)
-                    backoff_wait(policy.backoff * attempt, cancel, stage)
-                else:
-                    break
-            completed += len(chunk)
-            if progress is not None:
-                progress(ProgressEvent(stage, completed, n_tasks,
-                                       time.perf_counter() - started))
-            yield from chunk_results
-
-
-class _PooledExecutor(Executor):
-    """Pool lifecycle and the streaming loop shared by the thread and
-    process backends.
-
-    Each executor owns exactly one pool, built lazily on first
-    submission and shared by every concurrent :meth:`imap` caller (a
-    serving tier runs many jobs over one executor). Building,
-    discarding and closing it are serialized by one lock. A backend
-    adds only :meth:`_new_pool` and :meth:`_submit`; each call's chunk
-    bookkeeping and fault recovery live in a :class:`_ChunkRun`.
-
-    Because the pool is shared, a dead worker (or a stuck one killed on
-    timeout) breaks the in-flight chunks of *every* concurrent caller.
-    Each caller recovers its own lost chunks through the same
-    broken-pool path, so such a collateral crash counts against that
-    caller's ``max_worker_crashes`` too. Discarding a pool is a
-    compare-and-swap on the pool the failed chunk ran in: a late caller
-    never tears down a pool another caller has already rebuilt.
-    """
-
-    #: True when a stuck worker can be killed on timeout (process pools);
-    #: thread workers cannot be interrupted, so their futures are
-    #: abandoned and a new worker takes their place instead.
-    _kills_stuck_workers = False
-
-    def __init__(self, max_workers: int | None = None):
-        super().__init__(max_workers)
-        self._pool = None
-        self._pool_lock = threading.RLock()
-
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers or _available_cpus()
+    def _stream(self, run: "_ChunkRun", ahead: int):
+        """The generator behind :meth:`imap`; the process backend wraps
+        it in the call's spill file."""
+        return run.stream(ahead)
 
     def _new_pool(self):
         """Build a fresh pool of :attr:`effective_workers` workers; it
@@ -313,6 +257,16 @@ class _PooledExecutor(Executor):
             pass
 
     def close(self, wait: bool = True) -> None:
+        """Release pooled workers (no-op for serial).
+
+        ``wait=False`` abandons in-flight chunks instead of joining them
+        (a process pool's workers are terminated) — the shutdown-path
+        variant used by the checkpoint shutdown path, where a flushed
+        checkpoint must not block on (or race) pool teardown. Safe to
+        call repeatedly and during interpreter shutdown.
+        """
+        if self._inline:
+            return  # no pool to release
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is None:
@@ -327,25 +281,40 @@ class _PooledExecutor(Executor):
             # is about to exit, and none of them may outlive it.
             _terminate(workers)
 
-    def _stream(self, fn, shared, chunks, n_tasks, inflight, progress, cancel,
-                stage, policy, fault_hook, shipped=_UNSET):
-        run = _ChunkRun(self, fn, shared,
-                        shared if shipped is _UNSET else shipped, chunks,
-                        n_tasks, progress, cancel, stage, policy, fault_hook)
-        return run.stream(len(chunks) if inflight is None else inflight)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+class SerialExecutor(Executor):
+    """In-process backend: the inline mode of the one chunk loop.
+
+    The reference semantics every backend must match. Each chunk runs in
+    the calling thread under a pooled chunk's retry budget and backoff;
+    timeouts need preemption, which a single-threaded loop cannot do,
+    and worker crashes cannot happen — there are no workers.
+    """
+
+    name = "serial"
+    _inline = True
 
 
 class _ChunkRun:
-    """One pooled :meth:`Executor.imap` call: its chunks' futures,
-    attempts and results, and the fault recovery that acts on them.
+    """One :meth:`Executor.imap` call: its chunks' futures, attempts and
+    results, and the fault recovery that acts on them.
 
-    Every chunk is one future. A task exception or timeout consumes one
-    unit of the chunk's retry budget (with deterministic linear backoff)
-    before resubmission; a broken pool triggers the policy's
-    ``on_worker_failure`` strategy; and an exhausted budget raises
-    :class:`TaskError` at once, which :meth:`stream` answers by draining
-    the pool, so no zombie chunk is still running when the exception
-    reaches the caller.
+    A pooled chunk is one future; an inline chunk (the serial backend,
+    or every chunk after ``on_worker_failure="serial"`` degradation)
+    runs in the calling thread when it is submitted. Either way a task
+    exception or timeout consumes one unit of the chunk's retry budget
+    (with deterministic linear backoff) before the chunk runs again; a
+    broken pool triggers the policy's ``on_worker_failure`` strategy;
+    and an exhausted budget raises :class:`TaskError` at once, which
+    :meth:`stream` answers by draining the pool, so no zombie chunk is
+    still running when the exception reaches the caller.
 
     The object holds no bound method or callback, and :meth:`collect`
     drops its references to the futures it reads (a failed future's
@@ -353,12 +322,12 @@ class _ChunkRun:
     counting alone.
     """
 
-    def __init__(self, executor, fn, shared, shipped, chunks, n_tasks,
-                 progress, cancel, stage, policy, fault_hook):
+    def __init__(self, executor, fn, shared, chunks, n_tasks, progress,
+                 cancel, stage, policy, fault_hook):
         self.executor = executor
         self.fn = fn
         self.shared = shared
-        self.shipped = shipped
+        self.shipped = shared  # sent to a pool for ``shared``
         self.chunks = chunks
         self.n_tasks = n_tasks
         self.progress = progress
@@ -372,7 +341,7 @@ class _ChunkRun:
         self.submitted = 0  # chunks 0 .. submitted - 1 were submitted
         self.crashes = 0
         self.completed_tasks = 0
-        self.degraded = False  # on_worker_failure="serial" took over
+        self.inline = executor._inline
         # future -> [chunk index, its pool, deadline (None until it runs)]
         self.pending: dict = {}
         self.live: set = set()  # chunk indices with a pending future
@@ -405,17 +374,30 @@ class _ChunkRun:
 
     def _fault(self, kind: str, idx: int, attempt: int,
                error: BaseException) -> None:
-        self.executor._emit_fault(self.fault_hook, kind, self.stage, idx,
-                                  attempt, error, self.started)
+        if self.fault_hook is not None:
+            self.fault_hook(FaultEvent(
+                kind=kind, stage=self.stage, chunk_index=idx,
+                attempt=attempt, error=repr(error),
+                elapsed=time.perf_counter() - self.started))
 
     def submit(self, idx: int) -> None:
         if idx in self.live:
             return  # already resubmitted by a nested recovery
-        if self.degraded:
-            if self.cancel is not None:
-                self.cancel.raise_if_cancelled(self.stage)
-            self.record(idx, [self.fn(self.shared, task)
-                              for task in self.chunks[idx]])
+        if self.inline:
+            # Run the chunk here, again after each failure, until it
+            # succeeds or task_failure raises (its budget is spent).
+            fn, shared, chunk = self.fn, self.shared, self.chunks[idx]
+            while self.results[idx] is _UNSET:
+                if self.cancel is not None:
+                    self.cancel.raise_if_cancelled(self.stage)
+                try:
+                    chunk_results = [fn(shared, task) for task in chunk]
+                except JobCancelled:
+                    raise
+                except Exception as error:
+                    self.task_failure(idx, error)
+                else:
+                    self.record(idx, chunk_results)
             return
         pool = self.executor._ensure_pool()
         try:
@@ -457,19 +439,21 @@ class _ChunkRun:
         # One chunk's own failure (task exception or timeout): bounded
         # retry with deterministic linear backoff, then a structured
         # TaskError. Timeouts are counted as incidents whether or not
-        # retry budget remains; "retry" records an actual resubmission.
+        # retry budget remains; "retry" records an actual rerun, which
+        # an inline chunk's own loop makes.
         self.attempts[idx] += 1
         attempts = self.attempts[idx]
-        if isinstance(error, TimeoutError):
+        if isinstance(error, _ChunkTimeout):
             self._fault("timeout", idx, attempts, error)
         if attempts > self.policy.retries:
             raise TaskError(stage=self.stage, chunk_index=idx,
                             backend=self.executor.name, attempts=attempts,
                             cause=error) from error
-        if not isinstance(error, TimeoutError):
+        if not isinstance(error, _ChunkTimeout):
             self._fault("retry", idx, attempts, error)
         backoff_wait(self.policy.backoff * attempts, self.cancel, self.stage)
-        self.submit(idx)
+        if not self.inline:
+            self.submit(idx)
 
     def pool_failure(self, idx: int, error: BaseException, pool) -> None:
         # The pool itself died: every in-flight chunk is lost, not just
@@ -488,11 +472,12 @@ class _ChunkRun:
         lost = [lost_idx for lost_idx in range(self.submitted)
                 if self.results[lost_idx] is _UNSET]
         if policy.on_worker_failure == "serial":
-            # Graceful degradation: every remaining chunk runs in the
-            # parent process. Bit-identical because tasks are pure;
-            # slower, but the job completes.
+            # Graceful degradation: every remaining chunk runs inline in
+            # the parent process, under the same retry budget.
+            # Bit-identical because tasks are pure; slower, but the job
+            # completes.
             self._fault("degraded", idx, self.attempts[idx], error)
-            self.degraded = True
+            self.inline = True
         else:
             # "retry": rebuild the pool lazily and resubmit only the
             # chunks whose results were lost.
@@ -518,7 +503,7 @@ class _ChunkRun:
             if future not in self.pending:
                 continue
             idx, pool = self.forget(future)
-            error = TimeoutError(
+            error = _ChunkTimeout(
                 f"chunk {idx} exceeded the per-chunk timeout of "
                 f"{self.policy.timeout:g}s")
             stuck = not future.cancel()  # False: it never started
@@ -684,7 +669,7 @@ class _ThreadPool:
                 thread.join()
 
 
-class ThreadExecutor(_PooledExecutor):
+class ThreadExecutor(Executor):
     """Thread-pool backend; ``shared`` is passed by reference (same
     process), so it must be treated as read-only by ``fn``. A chunk
     abandoned on timeout gives its thread's place to a new worker, and
@@ -784,7 +769,7 @@ class _ProcessPool(ProcessPoolExecutor):
         return self._token_of.get(future) in self._running[:]
 
 
-class ProcessExecutor(_PooledExecutor):
+class ProcessExecutor(Executor):
     """Process-pool backend: one worker pool for every caller's payload.
 
     Each :meth:`imap` call pickles ``shared`` once and writes the bytes
@@ -814,19 +799,18 @@ class ProcessExecutor(_PooledExecutor):
                                      chunk)
         return pool.submit(_run_chunk_in_worker, fn, shipped, chunk)
 
-    def _stream(self, fn, shared, chunks, *args):
-        if not chunks:
+    def _stream(self, run, ahead):
+        if not run.chunks:
             return
-        payload = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest()
+        payload = pickle.dumps(run.shared, protocol=pickle.HIGHEST_PROTOCOL)
         fd, path = tempfile.mkstemp(prefix="repro-shared-", suffix=".pkl")
         with self._pool_lock:
             self._spills.add(path)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-            yield from super()._stream(fn, shared, chunks, *args,
-                                       shipped=(digest, path))
+            run.shipped = hashlib.sha256(payload).hexdigest(), path
+            yield from run.stream(ahead)
         finally:
             with self._pool_lock:
                 self._spills.discard(path)

@@ -20,14 +20,6 @@ def _stable_hash(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-# Memo of per-text n-gram hash arrays, keyed by the parameters that change
-# the grams. Corpora repeat texts heavily (categorical descriptions, repeated
-# pipeline runs over the same frame), and blake2b per gram dominates embedding
-# cost; the cached hashes are independent of ``n_features``, so one entry
-# serves every vectorizer width. Bounded: cleared wholesale at the cap.
-_GRAM_CACHE_LIMIT = 32768
-_gram_hash_cache: dict[tuple, np.ndarray] = {}
-
 # Memo of finished (normalized) hashed rows keyed by the full vectorizer
 # parameters plus the text. Re-running a pipeline over the same frame —
 # what-if analysis, importance scoring, repeated serve jobs — re-embeds
@@ -52,21 +44,14 @@ _tfidf_columns_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def _gram_hashes(text: str, ngram_range: tuple[int, int],
                  drop_stopwords: bool) -> np.ndarray:
-    key = (ngram_range, drop_stopwords, text)
-    cached = _gram_hash_cache.get(key)
-    if cached is None:
-        tokens = tokenize(text, drop_stopwords=drop_stopwords)
-        lo, hi = ngram_range
-        cached = np.array(
-            [_stable_hash(" ".join(tokens[i:i + n]))
-             for n in range(lo, hi + 1)
-             for i in range(len(tokens) - n + 1)],
-            dtype=np.uint64,
-        )
-        if len(_gram_hash_cache) >= _GRAM_CACHE_LIMIT:
-            _gram_hash_cache.clear()
-        _gram_hash_cache[key] = cached
-    return cached
+    tokens = tokenize(text, drop_stopwords=drop_stopwords)
+    lo, hi = ngram_range
+    return np.array(
+        [_stable_hash(" ".join(tokens[i:i + n]))
+         for n in range(lo, hi + 1)
+         for i in range(len(tokens) - n + 1)],
+        dtype=np.uint64,
+    )
 
 
 def _as_texts(X) -> list[str]:
@@ -104,12 +89,6 @@ class HashingVectorizer(BaseEstimator, TransformerMixin):
     def fit(self, X, y=None) -> "HashingVectorizer":
         self.fitted_ = True  # stateless, but keep the protocol uniform
         return self
-
-    def _ngrams(self, tokens: list[str]):
-        lo, hi = self.ngram_range
-        for n in range(lo, hi + 1):
-            for i in range(len(tokens) - n + 1):
-                yield " ".join(tokens[i:i + n])
 
     def transform(self, X) -> np.ndarray:
         if self.norm not in ("l2", "l1", None):

@@ -59,6 +59,16 @@ def _worker_only_crash(shared, task):
     return task + 1
 
 
+def _worker_crash_parent_failure(shared, task):
+    """Dies in any worker; in the parent, task 2 raises — a degraded
+    chunk's own failure, which the retry budget must govern."""
+    if os.getpid() != _MAIN_PID:
+        os._exit(1)
+    if task == 2:
+        raise ValueError("task 2 exploded in the parent")
+    return task
+
+
 def _crash_once(shared, task):
     """First worker to claim the flag file dies mid-task; every retry
     (flag already claimed) computes normally."""
@@ -94,6 +104,13 @@ def _flaky(shared, task):
     if task == 5 and _FLAKY_STATE["remaining"] > 0:
         _FLAKY_STATE["remaining"] -= 1
         raise ConnectionError("transient blip")
+    return task * 10
+
+
+def _flaky_timeout(shared, task):
+    if task == 5 and _FLAKY_STATE["remaining"] > 0:
+        _FLAKY_STATE["remaining"] -= 1
+        raise TimeoutError("read timed out")  # the task's own timeout
     return task * 10
 
 
@@ -251,6 +268,30 @@ class TestWorkerCrashRecovery:
         assert counters["executor.worker_crashes"] == 1
         assert counters["executor.degraded_runs"] == 1
 
+    def test_degraded_chunk_failure_spends_the_retry_budget(self):
+        """A chunk run inline after degradation retries like any other
+        chunk and ends in a TaskError, not the task's raw exception."""
+        observer = Observer()
+        policy = FaultPolicy(retries=1, backoff=0.0,
+                             on_worker_failure="serial")
+        with Runtime(backend="process", max_workers=2, chunk_size=1,
+                     observer=observer, faults=policy) as runtime:
+            with pytest.raises(TaskError, match="task 2 exploded") as info:
+                runtime.map(_worker_crash_parent_failure, range(4),
+                            stage="deg")
+        error = info.value
+        assert (error.stage, error.chunk_index, error.backend) \
+            == ("deg", 2, "process")
+        assert error.attempts == policy.retries + 1
+        assert isinstance(error.__cause__, ValueError)
+        retries = [(event["chunk"], event["attempt"])
+                   for event in observer.runlog.events
+                   if event["kind"] == "executor.fault"
+                   and event["fault"] == "retry"]
+        assert retries == [(2, attempt)
+                           for attempt in range(1, policy.retries + 1)]
+        assert observer.metrics.snapshot()["executor.degraded_runs"] == 1
+
     def test_on_worker_failure_raise_propagates_with_context(self):
         with Runtime(backend="process", max_workers=2,
                      faults={"on_worker_failure": "raise",
@@ -273,6 +314,20 @@ class TestRetries:
             results = runtime.map(_flaky, range(8), stage="flaky")
         assert results == [task * 10 for task in range(8)]
         assert observer.metrics.snapshot()["executor.retries"] == 2
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_task_timeout_error_counts_as_retry(self, backend):
+        """A TimeoutError the task raises itself is a task failure, not
+        an overrun of the policy's chunk timeout."""
+        _FLAKY_STATE["remaining"] = 1
+        observer = Observer()
+        with Runtime(backend=backend, max_workers=2, observer=observer,
+                     faults=FaultPolicy(retries=1, backoff=0.0)) as runtime:
+            results = runtime.map(_flaky_timeout, range(8), stage="io")
+        assert results == [task * 10 for task in range(8)]
+        counters = observer.metrics.snapshot()
+        assert counters["executor.retries"] == 1
+        assert "executor.timeouts" not in counters
 
     def test_budget_exhaustion_raises_task_error_with_attribution(self):
         with Runtime(backend="thread", max_workers=2, chunk_size=1,
@@ -436,13 +491,19 @@ _KIND_COUNTERS = {
 }
 
 
+#: (backend, kind) cells. The serial backend shares the pooled chunk
+#: loop, but a worker crash, a timeout or a degradation needs a pool, so
+#: serial runs only the retry cell.
+_CELLS = [(backend, kind) for backend in ("thread", "process")
+          for kind in sorted(_INJECTIONS)] + [("serial", "retry")]
+
+
 class TestFaultRecordsAgree:
     """Every fault incident lands once in each of the observer's three
     records: the ``executor.*`` counter, the ``executor.fault`` runlog
     events, and the ``runtime.<stage>`` span's ``fault_events``."""
 
-    @pytest.mark.parametrize("kind", sorted(_INJECTIONS))
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend, kind", _CELLS)
     def test_counter_events_and_span_match_injected(self, tmp_path,
                                                     backend, kind):
         fn, armed, policy, injected = _INJECTIONS[kind]

@@ -197,15 +197,20 @@ def test_uncheckpointed_loop_leaves_no_trace(name, tmp_path, no_trace):
     LOOPS[name](tmp_path)
 
 
-def test_uncheckpointed_estimator_frees_its_utility_without_gc():
-    """An inert checkpointer keeps no snapshot provider, so the run
-    leaves no reference cycle holding the utility (and its memo) until
-    the cyclic collector runs."""
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["uncheckpointed", "checkpointed"])
+def test_estimator_frees_its_utility_without_gc(checkpointed, tmp_path):
+    """An inert checkpointer keeps no snapshot provider, and an armed
+    one drops it when the loop ends, so the run leaves no reference
+    cycle holding the utility (and its memo) until the cyclic collector
+    runs."""
+    checkpoint = tmp_path / "ckpt" if checkpointed else None
     utility = _utility()
     alive = weakref.ref(utility)
     gc.disable()
     try:
-        MonteCarloShapley(n_permutations=3, seed=5).score(utility)
+        MonteCarloShapley(n_permutations=3, seed=5,
+                          checkpoint=checkpoint).score(utility)
         del utility
         assert alive() is None
     finally:
